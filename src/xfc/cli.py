@@ -301,7 +301,7 @@ def cmd_search(args) -> int:
         budget = int(env) if env else None
     problem = SearchProblem(args.m, config, sums=sums, policy=args.policy, node_budget=budget)
     try:
-        result = exact_max(problem, workers=args.workers)
+        result = exact_max(problem)
     except ValueError as e:
         raise CliError(str(e)) from None
     out = {
@@ -403,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sums", type=str, default=None, help="e.g. 3..6 or 0,1,2")
     p.add_argument("--policy", choices=["simple", "free", "paper"], default="simple")
     p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--witness-out", type=str, default=None)
     p.set_defaults(func=cmd_search)
 

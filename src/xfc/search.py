@@ -1,25 +1,40 @@
 """Exact extremal search: maximum column count avoiding a block pattern.
 
-The kernel branches over candidate columns in a fixed order (sum
-ascending, then 1-positions lexicographic), maintaining the support count
-of every (ones-rows, zeros-rows) split incrementally.  A multiset never
-contains q copies of the t-ones/ell-zeros column over some split iff all
-split counts stay at most q-1, so feasibility is a handful of array
-lookups per candidate.  Pruning combines the per-split residual budgets
-into a fractional covering bound: a column of sum s consumes
-C(s,t) * C(m-s,ell) units of the summed residual capacity, so at most
-floor(budget / min remaining weight) more columns fit.
+The kernel is one iterative depth-first search over candidate columns in a
+fixed order: sum ascending, then 1-positions lexicographic.  It appends
+candidates at or after the last added index, so each column multiset is
+met at most once.  A multiset never contains q copies of the
+t-ones/ell-zeros column over some split iff every split is hit by at most
+q-1 of its columns.  The search keeps, for each k up to q-1, the bitmask
+of splits hit at least k times, so feasibility of a candidate is one AND
+of its split mask (built on first visit) with the saturated set.  Pruning
+combines the per-split residual budgets into a fractional covering
+bound: a column of sum s consumes C(s,t) * C(m-s,ell) units of the summed
+residual capacity, so at most floor(budget / min remaining weight) more
+columns fit.
 
-Symmetry is broken by only appending candidates at or after the last
-added index, which enumerates each column multiset exactly once.  The
-exhaustive oracle below shares none of this machinery: it enumerates all
-subsets of the candidate columns and decides containment through the
+Row symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks and
+Roy, KR 1996).  Rows that agree on every chosen column form a cell.  In
+the candidate order, a column is least in its orbit under the row
+permutations that fix the chosen prefix exactly when its ones sit in the
+lowest rows of each cell, and if every chosen column has that property,
+every cell is an interval of consecutive rows.  The search keeps
+``bounds``, the mask of first rows of the cells (1 at the root, and
+``x ^ (x << 1)`` joins it when column x is chosen), and admits a
+candidate only if each run of ones in it starts at a cell start:
+``runstart & ~bounds == 0`` with ``runstart = c & ~(c << 1)``.  The
+lexicographically least row-permuted image of any feasible multiset
+passes this test at every depth, and row permutations preserve split
+counts, allowed sums and the repeat policy, so the optimum and the proof
+are those of the unrestricted search.
+
+The exhaustive oracle below shares none of this machinery: it enumerates
+all subsets of the candidate columns and decides containment through the
 general pattern backtracker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -144,12 +159,21 @@ class _Kernel:
         self.hits = hits
         self.repeatable = repeatable
         self.weights = [len(h) for h in hits]
+        # rows where a run of ones starts; canonical iff all are cell starts
+        self.runstart = [c & ~(c << 1) for c in cols]
         # min weight over candidates at or after each index, for the bound
         self.suffix_min = [0] * (len(cols) + 1)
         running = None
         for i in range(len(cols) - 1, -1, -1):
             running = self.weights[i] if running is None else min(running, self.weights[i])
             self.suffix_min[i] = running
+
+    def _splitmask(self, idxs) -> int:
+        """Bitmask of split indices, set byte-wise so wide masks stay linear."""
+        buf = bytearray((self.nsplits + 7) // 8)
+        for s in idxs:
+            buf[s >> 3] |= 1 << (s & 7)
+        return int.from_bytes(buf, "little")
 
     def greedy(self) -> list[int]:
         """First-fit incumbent in candidate order."""
@@ -164,121 +188,75 @@ class _Kernel:
                     break
         return sol
 
-    def solve(self, first_indices=None, incumbent: int = -1, node_budget: int | None = None):
-        """DFS from the root (or restricted to given first branches).
+    def solve(self, incumbent: int, node_budget: int | None):
+        """Iterative DFS over the canonical column multisets.
 
-        Returns (best_n, best_sol or None, nodes, exhausted).  best_sol is
-        None when no solution beat the incumbent.
+        Returns (best_sol or None, nodes, exhausted).  best_sol is None when
+        no solution beat the incumbent.
         """
-        counts = [0] * self.nsplits
-        budget = self.cap * self.nsplits
-        best_n = incumbent
-        best_sol: list[int] | None = None
-        nodes = 0
-        exhausted = False
+        cols, hits, weights, runstart = self.cols, self.hits, self.weights, self.runstart
+        suffix_min, repeatable, cap = self.suffix_min, self.repeatable, self.cap
+        n = len(cols)
+        full = (1 << self.m) - 1
+        masks: list[int | None] = [None] * n  # split masks, built on first visit
+        # levels[k]: splits hit by at least k chosen columns; levels[cap] is
+        # the saturated set, which is every split when cap is 0
+        levels = ((1 << self.nsplits) - 1,) + (0,) * cap
+        # bounds: the first row of each cell; the root has one cell of all rows
+        i, bounds, budget = 0, 1, cap * self.nsplits
+        best_n, best_sol = incumbent, None
+        nodes, exhausted = 1, False
         cur: list[int] = []
-        cols, hits, weights = self.cols, self.hits, self.weights
-        suffix_min, cap = self.suffix_min, self.cap
-
-        def dfs(start: int) -> None:
-            nonlocal best_n, best_sol, nodes, exhausted, budget
+        stack: list[tuple[int, int, tuple[int, ...], int]] = []  # parent state per depth
+        while True:
+            depth, outside, sat = len(cur), ~bounds, levels[cap]
+            while i < n and depth + budget // suffix_min[i] > best_n:
+                if not runstart[i] & outside:
+                    hm = masks[i]
+                    if hm is None:
+                        hm = masks[i] = self._splitmask(hits[i])
+                    if not hm & sat:
+                        break
+                i += 1
+            else:  # no child left here, or the bound cuts the rest (suffix_min grows with i)
+                if not stack:
+                    break
+                i, bounds, levels, budget = stack.pop()
+                cur.pop()
+                i += 1
+                continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 exhausted = True
-                return
-            if len(cur) > best_n:
-                best_n = len(cur)
-                best_sol = cur.copy()
-            for i in range(start, len(cols)):
-                if len(cur) + budget // suffix_min[i] <= best_n:
-                    break  # suffix_min only grows with i: no later branch helps
-                hit = hits[i]
-                if any(counts[s] >= cap for s in hit):
-                    continue
-                for s in hit:
-                    counts[s] += 1
-                budget -= weights[i]
-                cur.append(i)
-                dfs(i if self.repeatable[i] else i + 1)
-                cur.pop()
-                budget += weights[i]
-                for s in hit:
-                    counts[s] -= 1
-                if exhausted:
-                    return
-
-        if first_indices is None:
-            dfs(0)
-        else:
-            nodes += 1  # the shared root
-            for i in first_indices:
-                hit = hits[i]
-                if any(counts[s] >= cap for s in hit):
-                    continue
-                for s in hit:
-                    counts[s] += 1
-                budget -= weights[i]
-                cur.append(i)
-                dfs(i if self.repeatable[i] else i + 1)
-                cur.pop()
-                budget += weights[i]
-                for s in hit:
-                    counts[s] -= 1
-                if exhausted:
-                    break
-        return best_n, best_sol, nodes, exhausted
+                break
+            stack.append((i, bounds, levels, budget))
+            cur.append(i)
+            x = cols[i]
+            bounds |= full & (x ^ (x << 1))
+            budget -= weights[i]
+            levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
+            if depth + 1 > best_n:
+                best_n, best_sol = depth + 1, cur.copy()
+            if not repeatable[i]:
+                i += 1
+        return best_sol, nodes, exhausted
 
 
-def _solve_chunk(p: SearchProblem, first_indices: list[int], incumbent: int):
-    kernel = _Kernel(p)
-    return kernel.solve(first_indices=first_indices, incumbent=incumbent,
-                        node_budget=p.node_budget), first_indices[0]
-
-
-def exact_max(p: SearchProblem, workers: int = 1) -> SearchResult:
+def exact_max(p: SearchProblem) -> SearchResult:
     """Maximum column count over matrices satisfying the problem, with a
-    witness.  Optimality is proven unless the node budget runs out.
-
-    With workers > 1 the first-branch subtrees are distributed over
-    processes; the optimum is identical, the witness may differ from the
-    single-worker run.
-    """
+    witness.  Optimality is proven unless the node budget runs out."""
     if isinstance(p.config, General):
         return _exact_max_general(p)
     kernel = _Kernel(p)
-    base = kernel.free_cols  # never conflict; include them all once
     greedy_sol = kernel.greedy()
-
-    if workers <= 1 or len(kernel.cols) < 2:
-        best_n, best_sol, nodes, exhausted = kernel.solve(incumbent=len(greedy_sol) - 1,
-                                                          node_budget=p.node_budget)
-        if best_sol is None:
-            best_n, best_sol = len(greedy_sol), greedy_sol
-    else:
-        chunks: list[list[int]] = [[] for _ in range(workers)]
-        for i in range(len(kernel.cols)):
-            chunks[i % workers].append(i)
-        best_n, best_sol = len(greedy_sol), greedy_sol
-        best_first = len(kernel.cols)
-        nodes, exhausted = 0, False
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_solve_chunk, p, chunk, len(greedy_sol) - 1)
-                for chunk in chunks
-                if chunk
-            ]
-            for fut in futures:
-                (n, sol, nd, ex), first = fut.result()
-                nodes += nd
-                exhausted = exhausted or ex
-                if sol is not None and (n > best_n or (n == best_n and first < best_first)):
-                    best_n, best_sol, best_first = n, sol, first
-        nodes += 1
-
-    witness = BinMatrix(p.m, tuple(base) + tuple(kernel.cols[i] for i in best_sol))
-    assert verify_witness(p, witness)
+    best_sol, nodes, exhausted = kernel.solve(len(greedy_sol) - 1, p.node_budget)
+    if best_sol is None:
+        best_sol = greedy_sol
+    witness = BinMatrix(p.m, tuple(kernel.free_cols) + tuple(kernel.cols[i] for i in best_sol))
+    if not verify_witness(p, witness):
+        raise RuntimeError("search witness fails the independent constraint replay")
     return SearchResult(
-        optimum=best_n + len(base),
+        optimum=witness.ncols,
         witness=witness,
         nodes=nodes,
         proof_of_optimality=not exhausted,

@@ -150,6 +150,21 @@ def test_search_env_budget(capsys, monkeypatch):
     assert json.loads(out)["proof_of_optimality"] is False
 
 
+def test_search_workers_flag_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--m", "7", "--config", "2,2,1", "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_search_deep_multiplicity(capsys):
+    # 1990 columns deep: the search must not be limited by the call stack
+    code, out, _ = run(capsys, "search", "--m", "10", "--config", "200,1,0", "--sums", "1",
+                       "--policy", "free")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["optimum"] == 1990 and payload["proof_of_optimality"] is True
+
+
 def test_audit_subcommand(capsys):
     code, out, _ = run(capsys, "audit", "--m", "7,9")
     assert code == 0

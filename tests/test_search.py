@@ -2,11 +2,19 @@
 
 import pytest
 
+import xfc.search
 from xfc.bounds import design_tplus1_bound, designconfig_bound, genl_bound
 from xfc.constructions import exceeder_construction, q10_construction
 from xfc.designs import verify_design
 from xfc.matrix import BinMatrix, Block, General
-from xfc.search import SearchProblem, exact_max, exhaustive_oracle, verify_witness
+from xfc.search import (
+    POLICIES,
+    SearchProblem,
+    _Kernel,
+    exact_max,
+    exhaustive_oracle,
+    verify_witness,
+)
 
 
 def test_two_rows_examples():
@@ -127,8 +135,9 @@ def test_paper_policy_repeats_only_middle_sums():
     p = SearchProblem(7, Block(3, 2, 1), policy="paper")
     assert p.unrepeatable_sums() == frozenset({0, 1, 2, 7})
     r = exact_max(p)
-    assert r.proof_of_optimality
+    assert r.optimum == 37 and r.proof_of_optimality
     assert verify_witness(p, r.witness)
+    assert r.nodes <= 250_000  # row-symmetry breaking; about 2.25M nodes without it
 
 
 def test_node_budget_gives_best_effort():
@@ -137,15 +146,6 @@ def test_node_budget_gives_best_effort():
     assert not r.proof_of_optimality
     assert r.optimum >= 1
     assert verify_witness(SearchProblem(7, Block(2, 2, 1), sums=frozenset({3}), policy="free"), r.witness)
-
-
-def test_workers_agree_on_optimum():
-    p = SearchProblem(6, Block(2, 2, 1), sums=frozenset({3, 4}), policy="free")
-    single = exact_max(p, workers=1)
-    double = exact_max(p, workers=2)
-    assert single.optimum == double.optimum
-    assert single.proof_of_optimality and double.proof_of_optimality
-    assert verify_witness(p, double.witness)
 
 
 def test_general_pattern_search_tiny():
@@ -165,3 +165,212 @@ def test_general_pattern_rejects_nonsimple_policy():
 def test_oracle_caps_candidates():
     with pytest.raises(ValueError):
         exhaustive_oracle(SearchProblem(5, Block(2, 1, 1)))  # 32 candidates > 24
+
+
+def test_symmetry_breaking_prunes_free_instance():
+    p = SearchProblem(7, Block(2, 2, 1), sums=frozenset(range(3, 7)), policy="free")
+    r = exact_max(p)
+    assert r.optimum == 7 and r.proof_of_optimality
+    assert r.nodes <= 100  # about 5.6k nodes without row-symmetry breaking
+
+
+def test_kernel_candidate_order():
+    # the lex-leader test assumes sum ascending, then 1-positions lexicographic
+    for p in (SearchProblem(5, Block(3, 2, 1), policy="paper"),
+              SearchProblem(6, Block(2, 1, 2), sums=frozenset({1, 3, 4}))):
+        cols = _Kernel(p).cols
+        positions = [[r for r in range(p.m) if c >> r & 1] for c in cols]
+        keys = list(zip((len(x) for x in positions), positions))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_witness_replay_failure_raises(monkeypatch):
+    monkeypatch.setattr(xfc.search, "verify_witness", lambda p, A: False)
+    with pytest.raises(RuntimeError, match="replay"):
+        exact_max(SearchProblem(3, Block(2, 1, 1)))
+
+
+# Proven optima of every Block(q <= 3, t, ell) at m <= 5, computed by the
+# search without row-symmetry breaking.  Columns: m q t ell, then the
+# optimum under the simple, free and paper policies; "-" marks an
+# instance the policy leaves unbounded.
+BLOCK_OPTIMA = """
+1 1 0 0   0   0   0
+1 1 0 1   1   -   1
+1 1 1 0   1   -   1
+1 2 0 0   1   1   1
+1 2 0 1   2   -   2
+1 2 1 0   2   -   2
+1 3 0 0   2   2   2
+1 3 0 1   2   -   2
+1 3 1 0   2   -   2
+2 1 0 0   0   0   0
+2 1 0 1   1   -   1
+2 1 0 2   3   -   3
+2 1 1 0   1   -   1
+2 1 1 1   2   -   2
+2 1 2 0   3   -   3
+2 2 0 0   1   1   1
+2 2 0 1   3   -   3
+2 2 0 2   4   -   4
+2 2 1 0   3   -   3
+2 2 1 1   4   -   4
+2 2 2 0   4   -   4
+2 3 0 0   2   2   2
+2 3 0 1   4   -   5
+2 3 0 2   4   -   4
+2 3 1 0   4   -   4
+2 3 1 1   4   -   4
+2 3 2 0   4   -   4
+3 1 0 0   0   0   0
+3 1 0 1   1   -   1
+3 1 0 2   4   -   4
+3 1 0 3   7   -   7
+3 1 1 0   1   -   1
+3 1 1 1   2   -   2
+3 1 1 2   5   -   5
+3 1 2 0   4   -   4
+3 1 2 1   5   -   5
+3 1 3 0   7   -   7
+3 2 0 0   1   1   1
+3 2 0 1   4   -   4
+3 2 0 2   7   -   7
+3 2 0 3   8   -   8
+3 2 1 0   4   -   4
+3 2 1 1   5   -   5
+3 2 1 2   8   -   8
+3 2 2 0   7   -   7
+3 2 2 1   8   -   8
+3 2 3 0   8   -   8
+3 3 0 0   2   2   2
+3 3 0 1   5   -   7
+3 3 0 2   8   -  10
+3 3 0 3   8   -   8
+3 3 1 0   5   -   5
+3 3 1 1   8   -   8
+3 3 1 2   8   -   8
+3 3 2 0   8   -   8
+3 3 2 1   8   -   8
+3 3 3 0   8   -   8
+4 1 0 0   0   0   0
+4 1 0 1   1   -   1
+4 1 0 2   5   -   5
+4 1 0 3  11   -  11
+4 1 0 4  15   -  15
+4 1 1 0   1   -   1
+4 1 1 1   2   -   2
+4 1 1 2   6   -   6
+4 1 1 3  12   -  12
+4 1 2 0   5   -   5
+4 1 2 1   6   -   6
+4 1 2 2  10   -  10
+4 1 3 0  11   -  11
+4 1 3 1  12   -  12
+4 1 4 0  15   -  15
+4 2 0 0   1   1   1
+4 2 0 1   5   -   5
+4 2 0 2  11   -  11
+4 2 0 3  15   -  15
+4 2 0 4  16   -  16
+4 2 1 0   5   -   5
+4 2 1 1   6   -   6
+4 2 1 2  12   -  12
+4 2 1 3  16   -  16
+4 2 2 0  11   -  11
+4 2 2 1  12   -  12
+4 2 2 2  16   -  16
+4 2 3 0  15   -  15
+4 2 3 1  16   -  16
+4 2 4 0  16   -  16
+4 3 0 0   2   2   2
+4 3 0 1   7   -   9
+4 3 0 2  12   -  17
+4 3 0 3  16   -  19
+4 3 0 4  16   -  16
+4 3 1 0   7   -   7
+4 3 1 1  10   -  10
+4 3 1 2  16   -  18
+4 3 1 3  16   -  16
+4 3 2 0  12   -  12
+4 3 2 1  16   -  16
+4 3 2 2  16   -  16
+4 3 3 0  16   -  16
+4 3 3 1  16   -  16
+4 3 4 0  16   -  16
+5 1 0 0   0   0   0
+5 1 0 1   1   -   1
+5 1 0 2   6   -   6
+5 1 0 3  16   -  16
+5 1 0 4  26   -  26
+5 1 0 5  31   -  31
+5 1 1 0   1   -   1
+5 1 1 1   2   -   2
+5 1 1 2   7   -   7
+5 1 1 3  17   -  17
+5 1 1 4  27   -  27
+5 1 2 0   6   -   6
+5 1 2 1   7   -   7
+5 1 2 2  12   -  12
+5 1 2 3  22   -  22
+5 1 3 0  16   -  16
+5 1 3 1  17   -  17
+5 1 3 2  22   -  22
+5 1 4 0  26   -  26
+5 1 4 1  27   -  27
+5 1 5 0  31   -  31
+5 2 0 0   1   1   1
+5 2 0 1   6   -   6
+5 2 0 2  16   -  16
+5 2 0 3  26   -  26
+5 2 0 4  31   -  31
+5 2 0 5  32   -  32
+5 2 1 0   6   -   6
+5 2 1 1   7   -   7
+5 2 1 2  17   -  17
+5 2 1 3  27   -  27
+5 2 1 4  32   -  32
+5 2 2 0  16   -  16
+5 2 2 1  17   -  17
+5 2 2 2  22   -  22
+5 2 2 3  32   -  32
+5 2 3 0  26   -  26
+5 2 3 1  27   -  27
+5 2 3 2  32   -  32
+5 2 4 0  31   -  31
+5 2 4 1  32   -  32
+5 2 5 0  32   -  32
+5 3 0 0   2   2   2
+5 3 0 1   8   -  11
+5 3 0 2  18   -  26
+5 3 0 3  27   -  36
+5 3 0 4  32   -  36
+5 3 0 5  32   -  32
+5 3 1 0   8   -   8
+5 3 1 1  12   -  12
+5 3 1 2  22   -  27
+5 3 1 3  32   -  37
+5 3 1 4  32   -  32
+5 3 2 0  18   -  18
+5 3 2 1  22   -  22
+5 3 2 2  32   -  32
+5 3 2 3  32   -  32
+5 3 3 0  27   -  27
+5 3 3 1  32   -  32
+5 3 3 2  32   -  32
+5 3 4 0  32   -  32
+5 3 4 1  32   -  32
+5 3 5 0  32   -  32
+"""
+
+
+def test_block_optima_table():
+    for line in BLOCK_OPTIMA.strip().splitlines():
+        m, q, t, ell, *optima = line.split()
+        for policy, want in zip(POLICIES, optima):
+            p = SearchProblem(int(m), Block(int(q), int(t), int(ell)), policy=policy)
+            if want == "-":
+                with pytest.raises(ValueError, match="unbounded"):
+                    exact_max(p)
+                continue
+            r = exact_max(p)
+            assert (r.optimum, r.proof_of_optimality) == (int(want), True), (line, policy)
