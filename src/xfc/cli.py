@@ -2,8 +2,10 @@
 
 Subcommands: construct, contains, verify-design, bounds, analyze, search,
 audit.  Exit status 0 on success, 1 on a negative verdict, 2 on usage or
-input errors.  Rational values are always printed as numerator and
-denominator plus floor, never as decimals.
+input errors (an instance beyond the search size limits included), 3 on an
+internal failure such as a witness that fails its replay.  Rational values
+are always printed as numerator and denominator plus floor, never as
+decimals.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .search import SearchProblem, exact_max
 
 USAGE_ERROR = 2
 NEGATIVE = 1
+INTERNAL_ERROR = 3
 
 
 class CliError(Exception):
@@ -427,6 +430,9 @@ def main(argv=None) -> int:
     except (ConstructionError, ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

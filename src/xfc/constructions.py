@@ -135,9 +135,11 @@ def _near_regular_edges(m: int, d: int) -> list[tuple[int, int]]:
         degs[v] += 1
     short = [v for v in range(1, m + 1) if degs[v] != d]
     if m * d % 2 == 0:
-        assert not short, f"degree sequence broken: {degs[1:]}"
+        ok = not short
     else:
-        assert short == [m] and degs[m] == d - 1, f"degree sequence broken: {degs[1:]}"
+        ok = short == [m] and degs[m] == d - 1
+    if not ok:
+        raise RuntimeError(f"degree sequence broken: {degs[1:]}")
     return sorted(edges)
 
 

@@ -85,7 +85,8 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
         if cover[s] != lam:
             return DesignCheck(False, (s, cover[s]))
     # coverage exact => double counting fixes the block count
-    assert len(blocks) * comb(k, t) == lam * comb(m, t)
+    if len(blocks) * comb(k, t) != lam * comb(m, t):
+        raise RuntimeError("exact t-set coverage with the wrong block count")
     return DesignCheck(True)
 
 

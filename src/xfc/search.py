@@ -4,14 +4,25 @@ The kernel is one iterative depth-first search over candidate columns in a
 fixed order: sum ascending, then 1-positions lexicographic.  It appends
 candidates at or after the last added index, so each column multiset is
 met at most once.  A multiset never contains q copies of the
-t-ones/ell-zeros column over some split iff every split is hit by at most
-q-1 of its columns.  The search keeps, for each k up to q-1, the bitmask
-of splits hit at least k times, so feasibility of a candidate is one AND
-of its split mask (built on first visit) with the saturated set.  Pruning
-combines the per-split residual budgets into a fractional covering
-bound: a column of sum s consumes C(s,t) * C(m-s,ell) units of the summed
-residual capacity, so at most floor(budget / min remaining weight) more
-columns fit.
+t-ones/ell-zeros column iff every split (T, Z), disjoint row sets of
+sizes t and ell, is hit (ones on T, zeros on Z) by at most q-1 of its
+columns.  The search keeps, for each k up to q-1, the bitmask of splits
+hit at least k times, so feasibility of a candidate is one AND of its
+split mask (built on first visit) with the saturated set.
+
+With rows 0..m-1 and the colex rank sum_j C(r_j, j) of a subset
+{r_1 < ... < r_k}, split (T, Z) is bit W*rank(T) + rank(Z), W = C(m, ell).
+Column c's mask is the product Z(~c) * T(c) of two subset selectors:
+Z(S), the sum of 2**rank(Z) over the ell-subsets Z of S, is below 2**W,
+and T(c) is the sum of 2**(W*rank(T)) over the t-subsets T of c, so the
+terms fill disjoint W-bit slots and the product has no carries.  One
+ascending pass over the rows builds either selector: E_k(S + r) =
+E_k(S) | E_{k-1}(S) << stride*C(r, k).  Masks are C(m, t) * C(m, ell)
+bits wide since each slot has room for the ell-sets meeting T, whose bits
+are never set; the bound counts only the C(m, t) * C(m-t, ell) real
+splits.  Pruning combines the per-split residual budgets into a
+fractional covering bound: a column of sum s hits C(s, t) * C(m-s, ell)
+splits, so at most floor(budget / min remaining weight) more columns fit.
 
 Row symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks and
 Roy, KR 1996).  Rows that agree on every chosen column form a cell.  In
@@ -36,11 +47,17 @@ general pattern backtracker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
 from .matrix import BinMatrix, Block, Configuration, General, contains_config, mask_of
 
 POLICIES = ("simple", "free", "paper")
+
+# Kernel size limits, checked before enumerating: all columns of m = 15 and
+# 16 KiB split masks (the benchmark's largest: 8,192 columns, 22,308 bits).
+MAX_CANDIDATES = 1 << 15
+MAX_MASK_BITS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -102,12 +119,24 @@ def verify_witness(p: SearchProblem, A: BinMatrix) -> bool:
     return not contains_config(p.config, A)
 
 
-def _candidates(m: int, sums) -> list[int]:
-    out = []
-    for s in sums:
-        for pts in combinations(range(1, m + 1), s):
-            out.append(mask_of(pts))
-    return out
+def _candidates(p: SearchProblem, limit: int, what: str) -> list[int]:
+    """Columns of the allowed sums, sum ascending, then 1-positions
+    lexicographic; refused before enumeration when more than limit."""
+    n = sum(comb(p.m, s) for s in p.allowed_sums())
+    if n > limit:
+        raise ValueError(f"{n} candidate columns exceeds the {what} limit of {limit}")
+    return [mask_of(pts) for s in p.allowed_sums() for pts in combinations(range(1, p.m + 1), s)]
+
+
+def _selector(rows: int, steps: list[tuple[int, ...]]) -> int:
+    """Sum of 2**(stride * rank(K)) over the k-subsets K of rows, where
+    steps[r][i] is stride * C(r, k - i)."""
+    e = [0] * len(steps[0]) + [1]  # e[i]: the same sum over (k - i)-subsets
+    for r, shifts in enumerate(steps):
+        if rows >> r & 1:
+            for i, shift in enumerate(shifts):
+                e[i] |= e[i + 1] << shift
+    return e[0]
 
 
 class _Kernel:
@@ -119,70 +148,46 @@ class _Kernel:
             raise TypeError("the fast kernel needs a block configuration")
         if cfg.q == 0:
             raise ValueError("every matrix contains the empty pattern; no maximum exists")
-        self.p = p
-        self.m = p.m
-        self.q, self.t, self.ell = cfg.q, cfg.t, cfg.ell
+        m, t, ell = p.m, cfg.t, cfg.ell
+        zwidth = comb(m, ell)
+        width = comb(m, t) * zwidth
+        if width > MAX_MASK_BITS:
+            raise ValueError(f"{width}-bit split masks exceed the search limit of {MAX_MASK_BITS}")
         self.cap = cfg.q - 1
+        self.nsplits = comb(m, t) * comb(max(m - t, 0), ell)
+        self.full = (1 << m) - 1
+        self.tsteps = [tuple(zwidth * comb(r, j) for j in range(t, 0, -1)) for r in range(m)]
+        self.zsteps = [tuple(comb(r, j) for j in range(ell, 0, -1)) for r in range(m)]
+        # levels[k]: splits hit by at least k chosen columns; levels[cap] is
+        # the saturated set, which is every split when cap is 0
+        self.root_levels = ((1 << width) - 1,) + (0,) * self.cap
         unrep = p.unrepeatable_sums()
-
-        rows = range(1, p.m + 1)
-        split_index: dict[tuple[int, int], int] = {}
-        for ones in combinations(rows, self.t):
-            tmask = mask_of(ones)
-            for zeros in combinations([r for r in rows if r not in set(ones)], self.ell):
-                split_index[(tmask, mask_of(zeros))] = len(split_index)
-        self.nsplits = len(split_index)
-
-        cand = sorted(
-            _candidates(p.m, p.allowed_sums()),
-            key=lambda c: (c.bit_count(), tuple(i for i in range(p.m) if c >> i & 1)),
-        )
-        self.free_cols: list[int] = []  # hit no split: always addable once each
-        cols, hits, repeatable = [], [], []
-        for c in cand:
-            s = c.bit_count()
-            idxs = []
-            for ones in combinations([r for r in rows if c >> (r - 1) & 1], self.t):
-                for zeros in combinations([r for r in rows if not c >> (r - 1) & 1], self.ell):
-                    idxs.append(split_index[(mask_of(ones), mask_of(zeros))])
-            if not idxs:
-                if s not in unrep:
-                    raise ValueError(
-                        f"unbounded: repeatable sum-{s} columns never meet the pattern"
-                    )
-                self.free_cols.append(c)
-                continue
-            cols.append(c)
-            hits.append(tuple(idxs))
-            repeatable.append(s not in unrep)
-        self.cols = cols
-        self.hits = hits
-        self.repeatable = repeatable
-        self.weights = [len(h) for h in hits]
+        weight = {s: comb(s, t) * comb(m - s, ell) for s in p.allowed_sums()}  # splits hit
+        for s, w in weight.items():
+            if not w and s not in unrep:
+                raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
+        candidates = _candidates(p, MAX_CANDIDATES, "search")
+        # columns that hit no split are always addable, once each
+        self.free_cols = [c for c in candidates if not weight[c.bit_count()]]
+        self.cols = cols = [c for c in candidates if weight[c.bit_count()]]
+        self.weights = weights = [weight[c.bit_count()] for c in cols]
+        self.repeatable = [c.bit_count() not in unrep for c in cols]
         # rows where a run of ones starts; canonical iff all are cell starts
         self.runstart = [c & ~(c << 1) for c in cols]
         # min weight over candidates at or after each index, for the bound
-        self.suffix_min = [0] * (len(cols) + 1)
-        running = None
-        for i in range(len(cols) - 1, -1, -1):
-            running = self.weights[i] if running is None else min(running, self.weights[i])
-            self.suffix_min[i] = running
+        self.suffix_min = list(accumulate(reversed(weights), min))[::-1] + [0]
 
-    def _splitmask(self, idxs) -> int:
-        """Bitmask of split indices, set byte-wise so wide masks stay linear."""
-        buf = bytearray((self.nsplits + 7) // 8)
-        for s in idxs:
-            buf[s >> 3] |= 1 << (s & 7)
-        return int.from_bytes(buf, "little")
+    def mask(self, c: int) -> int:
+        """Split mask of column c: one carry-free product of its selectors."""
+        return _selector(self.full & ~c, self.zsteps) * _selector(c, self.tsteps)
 
     def greedy(self) -> list[int]:
         """First-fit incumbent in candidate order."""
-        counts = [0] * self.nsplits
-        sol: list[int] = []
-        for i, hit in enumerate(self.hits):
-            while all(counts[s] < self.cap for s in hit):
-                for s in hit:
-                    counts[s] += 1
+        levels, sol = self.root_levels, []
+        for i, c in enumerate(self.cols):
+            hm = self.mask(c)
+            while not hm & levels[-1]:
+                levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
                 sol.append(i)
                 if not self.repeatable[i]:
                     break
@@ -194,14 +199,12 @@ class _Kernel:
         Returns (best_sol or None, nodes, exhausted).  best_sol is None when
         no solution beat the incumbent.
         """
-        cols, hits, weights, runstart = self.cols, self.hits, self.weights, self.runstart
+        cols, weights, runstart = self.cols, self.weights, self.runstart
         suffix_min, repeatable, cap = self.suffix_min, self.repeatable, self.cap
         n = len(cols)
-        full = (1 << self.m) - 1
+        full = self.full
         masks: list[int | None] = [None] * n  # split masks, built on first visit
-        # levels[k]: splits hit by at least k chosen columns; levels[cap] is
-        # the saturated set, which is every split when cap is 0
-        levels = ((1 << self.nsplits) - 1,) + (0,) * cap
+        levels = self.root_levels
         # bounds: the first row of each cell; the root has one cell of all rows
         i, bounds, budget = 0, 1, cap * self.nsplits
         best_n, best_sol = incumbent, None
@@ -214,7 +217,7 @@ class _Kernel:
                 if not runstart[i] & outside:
                     hm = masks[i]
                     if hm is None:
-                        hm = masks[i] = self._splitmask(hits[i])
+                        hm = masks[i] = self.mask(cols[i])
                     if not hm & sat:
                         break
                 i += 1
@@ -268,9 +271,7 @@ def _exact_max_general(p: SearchProblem) -> SearchResult:
     containment on every extension.  Tiny instances only."""
     if p.policy != "simple":
         raise ValueError("general-pattern search supports only the simple policy")
-    cand = _candidates(p.m, p.allowed_sums())
-    if len(cand) > 24:
-        raise ValueError(f"{len(cand)} candidate columns is beyond the general-pattern search")
+    cand = _candidates(p, 24, "general-pattern search")
     pattern = p.config
     best: list[int] = []
     cur: list[int] = []
@@ -307,9 +308,7 @@ def exhaustive_oracle(p: SearchProblem) -> SearchResult:
     not the split-count kernel."""
     if p.policy != "simple":
         raise ValueError("the oracle only handles the simple policy")
-    cand = _candidates(p.m, p.allowed_sums())
-    if len(cand) > 24:
-        raise ValueError(f"{len(cand)} candidate columns exceeds the oracle cap of 24")
+    cand = _candidates(p, 24, "oracle")
     pattern = p.config.pattern() if isinstance(p.config, Block) else p.config.pattern
     if pattern.ncols == 0:
         raise ValueError("every matrix contains the empty pattern; no maximum exists")

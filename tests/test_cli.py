@@ -1,9 +1,12 @@
 """CLI dispatch, formats, and exit codes."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import xfc.search
 from xfc.cli import main
 from xfc.designs import sts, write_design
 from xfc.matrix import read_matrix
@@ -163,6 +166,29 @@ def test_search_deep_multiplicity(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["optimum"] == 1990 and payload["proof_of_optimality"] is True
+
+
+def test_search_oversized_instance_is_usage_error(capsys):
+    # refused from the candidate count, before 2^30 columns are enumerated
+    code, out, err = run(capsys, "search", "--m", "30", "--config", "2,2,1")
+    assert code == 2 and out == ""
+    assert "limit" in err
+
+
+def test_search_internal_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(xfc.search, "verify_witness", lambda p, A: False)
+    code, out, err = run(capsys, "search", "--m", "3", "--config", "2,1,1")
+    assert code == 3 and out == ""
+    assert "internal error" in err and "replay" in err
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no result may be guarded by one
+    src = Path(xfc.search.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on line(s) {lines}"
 
 
 def test_audit_subcommand(capsys):

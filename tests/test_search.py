@@ -1,5 +1,8 @@
 """Branch-and-bound search, the exhaustive oracle, witness checks."""
 
+from itertools import combinations
+from math import comb
+
 import pytest
 
 import xfc.search
@@ -41,6 +44,10 @@ def test_pattern_wider_than_rows_is_vacuous():
     p = SearchProblem(1, Block(2, 1, 1))
     assert exhaustive_oracle(p).optimum == 2
     assert exact_max(p).optimum == 2
+    # t + ell > m, also with t > m: no split exists, so every column is free
+    for m, block in ((3, Block(2, 4, 0)), (3, Block(2, 2, 2)), (4, Block(2, 3, 2))):
+        r = exact_max(SearchProblem(m, block))
+        assert (r.optimum, r.proof_of_optimality) == (2**m, True), (m, block)
 
 
 def test_design_extraction_instance():
@@ -182,6 +189,63 @@ def test_kernel_candidate_order():
         positions = [[r for r in range(p.m) if c >> r & 1] for c in cols]
         keys = list(zip((len(x) for x in positions), positions))
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_split_mask_matches_enumeration():
+    # every column of every m <= 7: the product mask is the OR of the
+    # brute-force splits, ranked by position in colex order
+    for m in range(1, 8):
+        rank = {}
+        for k in range(m + 1):
+            for i, sub in enumerate(sorted(combinations(range(m), k), key=lambda s: s[::-1])):
+                rank[sub] = i
+        for t in range(m + 1):
+            for ell in range(m - t + 1):
+                kernel = _Kernel(SearchProblem(m, Block(1, t, ell)))
+                width = comb(m, ell)
+                for c in range(1 << m):
+                    ones = [r for r in range(m) if c >> r & 1]
+                    zeros = [r for r in range(m) if not c >> r & 1]
+                    want = 0
+                    for T in combinations(ones, t):
+                        for Z in combinations(zeros, ell):
+                            want |= 1 << (width * rank[T] + rank[Z])
+                    got = kernel.mask(c)
+                    assert got == want, (m, t, ell, c)
+                    assert got.bit_count() == comb(len(ones), t) * comb(len(zeros), ell)
+
+
+def test_greedy_incumbent_sizes():
+    # first-fit incumbents (free columns included), as computed with
+    # per-split hit counts before split masks replaced them
+    for p, want in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 20),
+                    (SearchProblem(6, Block(3, 2, 1), policy="paper"), 27),
+                    (SearchProblem(7, Block(3, 2, 1), policy="paper"), 37),
+                    (SearchProblem(5, Block(3, 1, 2)), 18),
+                    (SearchProblem(6, Block(4, 2, 1), sums=frozenset({2, 3, 4}), policy="free"), 45)):
+        kernel = _Kernel(p)
+        assert len(kernel.free_cols) + len(kernel.greedy()) == want, p
+
+
+def test_search_wide_regime():
+    # simple policy over all 2^m candidates, as in the search-wide benchmark
+    for m, block, want, nodes in ((12, Block(2, 2, 2), 92, 67), (13, Block(2, 2, 1), 93, 79)):
+        p = SearchProblem(m, block)
+        r = exact_max(p)
+        assert (r.optimum, r.proof_of_optimality, r.nodes) == (want, True, nodes)
+        assert verify_witness(p, r.witness)
+
+
+def test_oversized_kernel_is_refused():
+    with pytest.raises(ValueError, match="candidate columns"):
+        exact_max(SearchProblem(30, Block(2, 2, 1)))
+    assert comb(20, 3) ** 2 > xfc.search.MAX_MASK_BITS
+    with pytest.raises(ValueError, match="split masks"):
+        exact_max(SearchProblem(20, Block(2, 3, 3), sums=frozenset({3})))
+    # the largest benchmarked kernel, 8,192 candidates and 22,308 bits, fits
+    kernel = _Kernel(SearchProblem(13, Block(2, 3, 2)))
+    assert len(kernel.cols) + len(kernel.free_cols) <= xfc.search.MAX_CANDIDATES
+    assert kernel.root_levels[0].bit_length() == 22_308 <= xfc.search.MAX_MASK_BITS
 
 
 def test_witness_replay_failure_raises(monkeypatch):
