@@ -270,7 +270,9 @@ def _contains_general(P: BinMatrix, A: BinMatrix) -> bool:
     check: P's rows can be injected into A's rows consistently with a
     partial column assignment iff, for every 0/1 signature over the
     assigned columns, P has at most as many rows with that signature as A
-    does.  At full depth that check is exact.
+    does.  At full depth that check is exact.  A signature is an int, bit i
+    for assigned column i; A's are carried down the recursion and P's
+    multisets are counted once per depth.
     """
     k = P.ncols
     if k == 0:
@@ -283,36 +285,34 @@ def _contains_general(P: BinMatrix, A: BinMatrix) -> bool:
     fcols = sorted(P.cols, key=lambda c: (-c.bit_count(), c))
     fsum = [c.bit_count() for c in fcols]
     asum = [c.bit_count() for c in A.cols]
-    chosen: list[int] = []
     used = [False] * A.ncols
+    # need[d]: P's row-signature multiset over its first d columns
+    psig = [0] * P.m
+    need = [Counter(psig).items()]
+    for j, fc in enumerate(fcols):
+        psig = [s | (fc >> i & 1) << j for i, s in enumerate(psig)]
+        need.append(Counter(psig).items())
 
-    def signatures_ok() -> bool:
-        fsig = Counter(
-            tuple(fc >> i & 1 for fc in fcols[: len(chosen)]) for i in range(P.m)
-        )
-        asig = Counter(
-            tuple(A.cols[idx] >> x & 1 for idx in chosen) for x in range(A.m)
-        )
-        return all(asig[s] >= n for s, n in fsig.items())
-
-    def assign(j: int) -> bool:
+    def assign(j: int, asig: list[int], last: int) -> bool:
         if j == k:
             return True
-        lo = chosen[-1] + 1 if j > 0 and fcols[j] == fcols[j - 1] else 0
-        for idx in range(lo, A.ncols):
+        lo = last + 1 if j > 0 and fcols[j] == fcols[j - 1] else 0
+        for idx, c in enumerate(A.cols[lo:], lo):
             if used[idx]:
                 continue
             if asum[idx] < fsum[j] or A.m - asum[idx] < P.m - fsum[j]:
                 continue
+            sig = [s | (c >> x & 1) << j for x, s in enumerate(asig)]
+            have = Counter(sig)
+            if any(have[s] < n for s, n in need[j + 1]):
+                continue
             used[idx] = True
-            chosen.append(idx)
-            if signatures_ok() and assign(j + 1):
+            if assign(j + 1, sig, idx):
                 return True
-            chosen.pop()
             used[idx] = False
         return False
 
-    return assign(0)
+    return assign(0, [0] * A.m, -1)
 
 
 def support_count_total(A: BinMatrix, t: int, ell: int) -> int:

@@ -39,14 +39,17 @@ passes this test at every depth, and row permutations preserve split
 counts, allowed sums and the repeat policy, so the optimum and the proof
 are those of the unrestricted search.
 
-The exhaustive oracle below shares none of this machinery: it enumerates
-all subsets of the candidate columns and decides containment through the
-general pattern backtracker.
+The exhaustive oracle below shares none of this machinery.  It is the
+subset search for general patterns: containment only grows when columns
+are added, so a depth-first search that extends only pattern-free sets,
+in candidate order, meets every pattern-free set, and each extension is
+decided by the general pattern backtracker.  Its ``nodes`` count the
+sets visited, not the 2^n subsets of the candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 from math import comb
 
@@ -54,10 +57,12 @@ from .matrix import BinMatrix, Block, Configuration, General, contains_config, m
 
 POLICIES = ("simple", "free", "paper")
 
-# Kernel size limits, checked before enumerating: all columns of m = 15 and
-# 16 KiB split masks (the benchmark's largest: 8,192 columns, 22,308 bits).
+# Kernel size limits: all columns of m = 15 and 16 KiB split masks, checked
+# before enumerating (the benchmark's largest: 8,192 columns, 22,308 bits),
+# and 256 MiB of level masks on the deepest DFS stack (m = 10, q = 200: 15 MB).
 MAX_CANDIDATES = 1 << 15
 MAX_MASK_BITS = 1 << 17
+MAX_STACK_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,11 @@ class _Kernel:
         self.runstart = [c & ~(c << 1) for c in cols]
         # min weight over candidates at or after each index, for the bound
         self.suffix_min = list(accumulate(reversed(weights), min))[::-1] + [0]
+        if cols:  # each frame holds q level masks, and no path outlasts the budget
+            depth = self.cap * self.nsplits // self.suffix_min[0]
+            if depth * cfg.q * (width // 8 + 36) > MAX_STACK_BYTES:
+                raise ValueError(f"a {depth}-deep stack of {cfg.q} masks per frame exceeds "
+                                 f"the search limit of {MAX_STACK_BYTES} bytes")
 
     def mask(self, c: int) -> int:
         """Split mask of column c: one carry-free product of its selectors."""
@@ -267,60 +277,48 @@ def exact_max(p: SearchProblem) -> SearchResult:
 
 
 def _exact_max_general(p: SearchProblem) -> SearchResult:
-    """Slow path for general patterns: branch over candidates and test
-    containment on every extension.  Tiny instances only."""
+    """Subset search for general patterns and the exhaustive oracle: extend
+    pattern-free sets in candidate order, testing containment on every
+    extension.  At most 24 candidates."""
     if p.policy != "simple":
         raise ValueError("general-pattern search supports only the simple policy")
+    if p.config.pattern.ncols == 0:
+        raise ValueError("every matrix contains the empty pattern; no maximum exists")
     cand = _candidates(p, 24, "general-pattern search")
-    pattern = p.config
-    best: list[int] = []
-    cur: list[int] = []
+    best: tuple[int, ...] = ()
     nodes = 0
     exhausted = False
 
-    def dfs(start: int) -> None:
+    def dfs(start: int, cur: tuple[int, ...]) -> None:
         nonlocal best, nodes, exhausted
         nodes += 1
         if p.node_budget is not None and nodes > p.node_budget:
             exhausted = True
             return
         if len(cur) > len(best):
-            best = cur.copy()
+            best = cur
         if len(cur) + (len(cand) - start) <= len(best):
             return
         for i in range(start, len(cand)):
-            cur.append(cand[i])
-            if not contains_config(pattern, BinMatrix(p.m, tuple(cur))):
-                dfs(i + 1)
-            cur.pop()
+            ext = cur + (cand[i],)
+            if not contains_config(p.config, BinMatrix(p.m, ext)):
+                dfs(i + 1, ext)
             if exhausted:
                 return
 
-    dfs(0)
-    witness = BinMatrix(p.m, tuple(best))
+    dfs(0, ())
+    witness = BinMatrix(p.m, best)
     return SearchResult(len(best), witness, nodes, not exhausted)
 
 
 def exhaustive_oracle(p: SearchProblem) -> SearchResult:
-    """Brute-force optimum by enumerating every subset of the candidate
-    columns; validation-only.  Requires the simple policy and at most 24
-    candidates.  Containment goes through the general pattern backtracker,
-    not the split-count kernel."""
+    """Optimum by the general-pattern subset search, without a node budget;
+    validation-only.  Requires the simple policy and at most 24 candidates.
+    The search extends only pattern-free sets, which reaches all of them
+    since a superset of a containing set contains the pattern too, and
+    ``nodes`` counts the sets it visits.  Containment goes through the
+    general pattern backtracker, not the split-count kernel."""
     if p.policy != "simple":
         raise ValueError("the oracle only handles the simple policy")
-    cand = _candidates(p, 24, "oracle")
     pattern = p.config.pattern() if isinstance(p.config, Block) else p.config.pattern
-    if pattern.ncols == 0:
-        raise ValueError("every matrix contains the empty pattern; no maximum exists")
-    best_n = -1
-    best_cols: tuple[int, ...] = ()
-    checked = 0
-    for pick in range(1 << len(cand)):
-        n = pick.bit_count()
-        if n <= best_n:
-            continue
-        cols = tuple(cand[i] for i in range(len(cand)) if pick >> i & 1)
-        checked += 1
-        if not contains_config(General(pattern), BinMatrix(p.m, cols)):
-            best_n, best_cols = n, cols
-    return SearchResult(best_n, BinMatrix(p.m, best_cols), checked, True)
+    return _exact_max_general(replace(p, config=General(pattern), node_budget=None))

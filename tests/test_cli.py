@@ -175,6 +175,14 @@ def test_search_oversized_instance_is_usage_error(capsys):
     assert "limit" in err
 
 
+def test_search_deep_stack_is_usage_error(capsys):
+    # refused from the stack estimate; unguarded, the search exhausts memory
+    code, out, err = run(capsys, "search", "--m", "9", "--config", "9999,1,0", "--sums", "1",
+                         "--policy", "free")
+    assert code == 2 and out == ""
+    assert "stack" in err and "limit" in err
+
+
 def test_search_internal_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(xfc.search, "verify_witness", lambda p, A: False)
     code, out, err = run(capsys, "search", "--m", "3", "--config", "2,1,1")

@@ -2,10 +2,11 @@
 
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import pytest
+from conftest import brute_contains
 
 from xfc.matrix import (
     BinMatrix,
@@ -39,21 +40,6 @@ FANO_BLOCKS = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7),
 
 def fano_matrix():
     return BinMatrix(7, tuple(mask_of(b) for b in FANO_BLOCKS))
-
-
-def brute_contains(P: BinMatrix, A: BinMatrix) -> bool:
-    """Independent containment oracle: try every injective row map, then
-    match column patterns by multiset counting."""
-    if P.ncols == 0:
-        return True
-    if P.m > A.m or P.ncols > A.ncols:
-        return False
-    need = Counter(tuple(pc >> i & 1 for i in range(P.m)) for pc in P.cols)
-    for rows in permutations(range(A.m), P.m):
-        have = Counter(tuple(ac >> r & 1 for r in rows) for ac in A.cols)
-        if all(have[sig] >= n for sig, n in need.items()):
-            return True
-    return False
 
 
 def random_matrix(rng, m, max_cols=10):
@@ -329,3 +315,17 @@ def test_general_containment_nontrivial_pattern():
     assert not contains_config(General(P), chain)
     assert brute_contains(P, full_cube(2))
     assert not brute_contains(P, chain)
+
+
+def test_general_containment_matches_brute_force():
+    # patterns of at least two distinct columns, so no block shortcut applies
+    rng = random.Random(41)
+    checked = 0
+    while checked < 400:
+        pm, pn = rng.randint(1, 3), rng.randint(2, 3)
+        P = BinMatrix(pm, tuple(rng.randrange(1 << pm) for _ in range(pn)))
+        if len(set(P.cols)) < 2:
+            continue
+        A = random_matrix(rng, rng.randint(pm, 5), max_cols=8)
+        assert contains_config(General(P), A) == brute_contains(P, A), (P.cols, A.m, A.cols)
+        checked += 1

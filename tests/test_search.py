@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from conftest import brute_contains
 
 import xfc.search
 from xfc.bounds import design_tplus1_bound, designconfig_bound, genl_bound
@@ -95,12 +96,46 @@ def test_witness_rejection_paths():
 
 
 def test_oracle_agreement_sweep_small():
-    for m in (1, 2, 3):
+    # m = 4 with all sums is 16 candidates, the benchmark's oracle size
+    for m in (1, 2, 3, 4):
         for q in (1, 2, 3):
             for t in range(m + 1):
                 for ell in range(m - t + 1):
                     p = SearchProblem(m, Block(q, t, ell))
-                    assert exact_max(p).optimum == exhaustive_oracle(p).optimum, (m, q, t, ell)
+                    oracle = exhaustive_oracle(p)
+                    assert exact_max(p).optimum == oracle.optimum, (m, q, t, ell)
+                    assert verify_witness(p, oracle.witness), (m, q, t, ell)
+
+
+def brute_optimum(p: SearchProblem) -> int:
+    """Largest pattern-free subset of the candidate columns, over all 2^n
+    subsets, with containment decided by brute_contains."""
+    pattern = p.config.pattern() if isinstance(p.config, Block) else p.config.pattern
+    cand = [c for s in p.allowed_sums() for c in range(1 << p.m) if c.bit_count() == s]
+    best = 0
+    for pick in range(1 << len(cand)):
+        cols = tuple(c for i, c in enumerate(cand) if pick >> i & 1)
+        if len(cols) > best and not brute_contains(pattern, BinMatrix(p.m, cols)):
+            best = len(cols)
+    return best
+
+
+def test_oracle_matches_subset_brute_force():
+    # the oracle is the general-pattern search; this check shares no code with it
+    problems = [SearchProblem(3, General(BinMatrix.from_columns(2, [(1,), (2,)])))]
+    for m in (1, 2, 3):
+        for q in (1, 2, 3):
+            for t in range(m + 1):
+                for ell in range(m - t + 1):
+                    problems.append(SearchProblem(m, Block(q, t, ell)))
+    for p in problems:
+        assert exhaustive_oracle(p).optimum == brute_optimum(p), p
+
+
+def test_oracle_visits_only_pattern_free_sets():
+    r = exhaustive_oracle(SearchProblem(4, Block(2, 1, 1)))
+    assert r.optimum == 6
+    assert r.nodes <= 1_000  # the sweep over all 2^16 subsets decoded 55,655 of them
 
 
 def test_oracle_agreement_sum_restricted_m4():
@@ -136,6 +171,9 @@ def test_empty_pattern_has_no_maximum():
         exact_max(SearchProblem(3, Block(0, 1, 1)))
     with pytest.raises(ValueError):
         exhaustive_oracle(SearchProblem(3, Block(0, 1, 1)))
+    # a general pattern without columns has no maximum either
+    with pytest.raises(ValueError, match="empty pattern"):
+        exact_max(SearchProblem(3, General(BinMatrix(2, ()))))
 
 
 def test_paper_policy_repeats_only_middle_sums():
@@ -246,6 +284,9 @@ def test_oversized_kernel_is_refused():
     kernel = _Kernel(SearchProblem(13, Block(2, 3, 2)))
     assert len(kernel.cols) + len(kernel.free_cols) <= xfc.search.MAX_CANDIDATES
     assert kernel.root_levels[0].bit_length() == 22_308 <= xfc.search.MAX_MASK_BITS
+    # 89,982 frames of 9,999 level masks each: refused before the search runs
+    with pytest.raises(ValueError, match="stack"):
+        _Kernel(SearchProblem(9, Block(9999, 1, 0), sums=frozenset({1}), policy="free"))
 
 
 def test_witness_replay_failure_raises(monkeypatch):
