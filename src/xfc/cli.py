@@ -103,12 +103,12 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _emit_matrix(A: BinMatrix, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(A.to_text())
-    else:
-        sys.stdout.write(A.to_text())
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}") from None
 
 
 def _require(args, **fields) -> None:
@@ -162,6 +162,8 @@ def cmd_construct(args) -> int:
         A = split_1100_construction(args.m, args.a, args.b)
         claimed = bounds_mod.bound_1100(args.a + args.b, args.m).exact
         avoided = f"{args.a + args.b + 3},2,2"
+    if args.out:  # written first, so a failed write prints nothing
+        _write_file(args.out, A.to_text())
     if args.meta:
         record = {
             "m": A.m,
@@ -171,11 +173,10 @@ def cmd_construct(args) -> int:
             "verified": True,  # constructions are fail-closed; reaching here means checks passed
         }
         print(json.dumps(record))
-        _emit_matrix(A, args.out)
-    else:
-        _emit_matrix(A, args.out)
-        if args.out:
-            print(f"wrote {A.m} x {A.ncols} matrix to {args.out}")
+    elif args.out:
+        print(f"wrote {A.m} x {A.ncols} matrix to {args.out}")
+    if not args.out:
+        sys.stdout.write(A.to_text())
     return 0
 
 
@@ -219,39 +220,38 @@ def cmd_verify_design(args) -> int:
     return 0 if check.ok else NEGATIVE
 
 
+# formula -> (function, the flags it takes in argument order)
+BOUNDS = {
+    "designconfig": (bounds_mod.designconfig_bound, ("t", "k", "lambda", "m")),
+    "genl": (bounds_mod.genl_bound, ("t", "l", "lambda", "m")),
+    "design-tplus1": (bounds_mod.design_tplus1_bound, ("t", "l", "lambda", "m")),
+    "q10-lower": (bounds_mod.q10_lower, ("q", "m")),
+    "q10-upper": (bounds_mod.q10_upper, ("q", "m")),
+    "bound-1100": (bounds_mod.bound_1100, ("lambda", "m")),
+    "design-1100": (bounds_mod.design_1100_bound, ("lambda", "m")),
+    "turan": (bounds_mod.turan_threshold, ("m", "t", "k")),
+    "exceeder-gap": (bounds_mod.exceeder_gap, ("t", "l", "lambda")),
+    "pigeonhole": (bounds_mod.pigeonhole_terms, ("t", "l", "lambda", "m")),
+}
+
+
 def cmd_bounds(args) -> int:
     name = args.formula
+    func, flags = BOUNDS[name]
+    values = {f: getattr(args, "lam" if f == "lambda" else f) for f in flags}
+    _require(args, **values)
     try:
-        if name == "designconfig":
-            bv = bounds_mod.designconfig_bound(args.t, args.k, args.lam, args.m)
-        elif name == "genl":
-            bv = bounds_mod.genl_bound(args.t, args.l, args.lam, args.m)
-        elif name == "design-tplus1":
-            bv = bounds_mod.design_tplus1_bound(args.t, args.l, args.lam, args.m)
-        elif name == "q10-lower":
-            bv = bounds_mod.q10_lower(args.q, args.m)
-        elif name == "q10-upper":
-            bv = bounds_mod.q10_upper(args.q, args.m)
-        elif name == "bound-1100":
-            bv = bounds_mod.bound_1100(args.lam, args.m)
-        elif name == "design-1100":
-            bv = bounds_mod.design_1100_bound(args.lam, args.m)
-        elif name == "turan":
-            bv = bounds_mod.turan_threshold(args.m, args.t, args.k)
-        elif name == "exceeder-gap":
-            bv = bounds_mod.exceeder_gap(args.t, args.l, args.lam)
-        elif name == "pigeonhole":
+        if name == "pigeonhole":
             if not args.profile:
                 raise CliError("pigeonhole needs --profile a_t,a_t1,a_higher")
             profile = tuple(int(x) for x in args.profile.split(","))
             if len(profile) != 3:
                 raise CliError("profile must have three comma-separated counts")
-            check = bounds_mod.pigeonhole_terms(args.t, args.l, args.lam, args.m, profile)
+            check = func(*values.values(), profile)
             print(json.dumps({"formula": name, "lhs": check.lhs, "rhs": check.rhs,
                               "holds": check.holds}))
             return 0
-        else:
-            raise CliError(f"unknown formula {name!r}")
+        bv = func(*values.values())
     except ValueError as e:
         raise CliError(str(e)) from None
     print(json.dumps(_bound_json(name, bv)))
@@ -313,10 +313,9 @@ def cmd_search(args) -> int:
         "proof_of_optimality": result.proof_of_optimality,
         "witness_ncols": result.witness.ncols,
     }
-    print(json.dumps(out))
     if args.witness_out:
-        with open(args.witness_out, "w") as fh:
-            fh.write(result.witness.to_text())
+        _write_file(args.witness_out, result.witness.to_text())
+    print(json.dumps(out))
     return 0
 
 
@@ -378,9 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_design)
 
     p = sub.add_parser("bounds", help="evaluate a named bound exactly")
-    p.add_argument("formula", choices=["designconfig", "genl", "design-tplus1", "q10-lower",
-                                       "q10-upper", "bound-1100", "design-1100", "turan",
-                                       "exceeder-gap", "pigeonhole"])
+    p.add_argument("formula", choices=list(BOUNDS))
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--k", type=int, default=None)

@@ -230,6 +230,8 @@ def read_design(text: str) -> Design:
         m, k, t, lam, b = (int(x) for x in head)
     except ValueError:
         raise DesignFormatError(1, f"non-integer header fields in {lines[0]!r}") from None
+    if min(m, k, t, lam, b) < 0:
+        raise DesignFormatError(1, "header fields must be nonnegative")
     if len(lines) < b + 1:
         raise DesignFormatError(len(lines) + 1, f"expected {b} block lines, got {len(lines) - 1}")
     blocks = []
@@ -241,13 +243,12 @@ def read_design(text: str) -> Design:
             raise DesignFormatError(i + 2, f"non-integer point in {lines[i + 1]!r}") from None
         if len(pts) != k:
             raise DesignFormatError(i + 2, f"expected {k} points, got {len(pts)}")
-        if tuple(sorted(pts)) != pts:
-            raise DesignFormatError(i + 2, "block points must be sorted ascending")
+        if any(x >= y for x, y in zip(pts, pts[1:])):
+            raise DesignFormatError(i + 2, "block points must be strictly ascending")
+        if pts and (pts[0] < 1 or pts[-1] > m):
+            raise DesignFormatError(i + 2, f"block points outside 1..{m}")
         blocks.append(pts)
     for extra in range(b + 1, len(lines)):
         if lines[extra].strip():
             raise DesignFormatError(extra + 1, "trailing non-empty line")
-    try:
-        return Design(m, k, t, lam, tuple(blocks))
-    except ValueError as e:
-        raise DesignFormatError(2, str(e)) from None
+    return Design(m, k, t, lam, tuple(blocks))

@@ -1,16 +1,16 @@
 """Core (0,1)-matrix values and configuration containment.
 
 A matrix is an ordered multiset of columns over rows 1..m.  Each column is
-stored as a packed bitmask (bit i-1 set <=> the column has a 1 in row i),
-so support tests against a row split cost two AND operations regardless
-of m.  All values are immutable; every operation returns fresh objects.
+stored as a packed bitmask (bit i-1 set <=> the column has a 1 in row i).
+Block containment and maximum multiplicity transpose A once into row sets
+and run one split search over them.  All values are immutable; every
+operation returns fresh objects.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 
@@ -189,12 +189,11 @@ Configuration = Block | General
 
 def block_support_count(A: BinMatrix, split: RowSplit) -> int:
     """Columns of A (with multiplicity) that are all-1 on the ones-rows and
-    all-0 on the zeros-rows of the split."""
+    all-0 on the zeros-rows of the split: one AND per column."""
     if not split.valid_for(A.m):
         raise ValueError(f"split rows outside 1..{A.m}")
-    tmask = mask_of(split.ones)
-    lmask = mask_of(split.zeros)
-    return sum(1 for c in A.cols if c & tmask == tmask and c & lmask == 0)
+    tmask, rows = mask_of(split.ones), mask_of(split.ones + split.zeros)
+    return sum(1 for c in A.cols if c & rows == tmask)
 
 
 def max_block_multiplicity(A: BinMatrix, t: int, ell: int) -> tuple[int, RowSplit]:
@@ -204,20 +203,10 @@ def max_block_multiplicity(A: BinMatrix, t: int, ell: int) -> tuple[int, RowSpli
         raise ValueError("t and ell must be nonnegative")
     if t + ell > A.m:
         raise ValueError(f"t + ell = {t + ell} exceeds row count {A.m}")
-    rows = range(1, A.m + 1)
-    best = -1
-    best_split = None
-    for ones in combinations(rows, t):
-        tmask = mask_of(ones)
-        sup = [c for c in A.cols if c & tmask == tmask]
-        rest = [r for r in rows if not (tmask >> (r - 1) & 1)]
-        for zeros in combinations(rest, ell):
-            lmask = mask_of(zeros)
-            cnt = sum(1 for c in sup if c & lmask == 0)
-            if cnt > best:
-                best = cnt
-                best_split = RowSplit(ones, zeros)
-    return best, best_split
+    best = 0, RowSplit(range(1, t + 1), range(t + 1, t + ell + 1))  # when every count is 0
+    for best in _rising_splits(A, t, ell, 1):
+        pass
+    return best
 
 
 def contains_config(config: Configuration, A: BinMatrix) -> bool:
@@ -231,36 +220,46 @@ def contains_config(config: Configuration, A: BinMatrix) -> bool:
 
 
 def _contains_block(q: int, t: int, ell: int, A: BinMatrix) -> bool:
+    """True iff some (t, ell) split has support at least q; the search stops at the first."""
     if q == 0:
         return True
-    if t + ell > A.m or A.ncols < q:
-        return False
-    if t == 0 and ell == 0:
-        return A.ncols >= q
-    rows = range(1, A.m + 1)
-    for ones in combinations(rows, t):
-        tmask = mask_of(ones)
-        sup = [c for c in A.cols if c & tmask == tmask]
-        if len(sup) < q:
+    return t + ell <= A.m and next(_rising_splits(A, t, ell, q), None) is not None
+
+
+def _rising_splits(A: BinMatrix, t: int, ell: int, need: int):
+    """Yield (count, split) for each (t, ell) split, in lexicographic order,
+    whose support is at least ``need`` (>= 1) and above every earlier count.
+
+    An iterative DFS over the ones-rows, then the zeros-rows, each ascending,
+    carrying the AND of the chosen rows' sets (bit j of ones[r]: column j has
+    a 1 in row r + 1).  A row only shrinks the AND, so a branch whose popcount
+    is below ``need`` is cut; a zeros-row that is a ones-row empties the AND."""
+    # m-digit column strings, last first: row r + 1 is every m-th digit from m-1-r
+    bits = "".join([format(c | 1 << A.m, "b")[1:] for c in reversed(A.cols)])
+    ones = [int("0" + bits[A.m - 1 - r::A.m], 2) for r in range(A.m)]
+    zeros = [((1 << A.ncols) - 1) ^ s for s in ones]
+    k = t + ell
+    acc = [(1 << A.ncols) - 1] * (k + 1)  # acc[d]: AND of the sets chosen above depth d
+    row = [0] * (k + 1)  # row[d]: next row index to try at depth d, so the chosen row's number
+    d = 0
+    while d >= 0:
+        if d < k:
+            sets, end = (ones, t) if d < t else (zeros, k)
+            for r in range(row[d], A.m - end + d + 1):  # leaves rows for depths d+1..end-1
+                support = acc[d] & sets[r]
+                if support.bit_count() >= need:
+                    row[d], acc[d + 1] = r + 1, support
+                    d += 1
+                    row[d] = 0 if d == t else r + 1
+                    break
+            else:
+                d -= 1
             continue
-        if ell == 0:
-            return True
-        rest = [r for r in rows if not (tmask >> (r - 1) & 1)]
-        if ell == 1:
-            # one pass: q columns share a zero row iff some row outside the
-            # ones-set carries at most len(sup) - q ones among the support
-            ones_at = [0] * (A.m + 1)
-            for c in sup:
-                for r in rows_of(c):
-                    ones_at[r] += 1
-            if any(len(sup) - ones_at[r] >= q for r in rest):
-                return True
-        else:
-            for zeros in combinations(rest, ell):
-                lmask = mask_of(zeros)
-                if sum(1 for c in sup if c & lmask == 0) >= q:
-                    return True
-    return False
+        count = acc[k].bit_count()
+        if count >= need:
+            yield count, RowSplit(row[:t], row[t:k])
+            need = count + 1
+        d -= 1
 
 
 def _contains_general(P: BinMatrix, A: BinMatrix) -> bool:

@@ -84,6 +84,8 @@ class SearchProblem:
                 raise ValueError(f"sums outside 0..{self.m}")
         if self.policy == "paper" and not isinstance(self.config, Block):
             raise ValueError("the paper repeat policy needs a block configuration")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError(f"node budget must be nonnegative, got {self.node_budget}")
 
     def allowed_sums(self) -> tuple[int, ...]:
         return tuple(sorted(self.sums)) if self.sums is not None else tuple(range(self.m + 1))

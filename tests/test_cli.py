@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import xfc.search
-from xfc.cli import main
+from xfc.cli import BOUNDS, main
 from xfc.designs import sts, write_design
 from xfc.matrix import read_matrix
 
@@ -111,6 +111,19 @@ def test_bounds_rejects_bad_params(capsys):
     assert code == 2 and "error" in err
 
 
+def test_bounds_missing_flags_are_named(capsys):
+    code, out, err = run(capsys, "bounds", "genl", "--m", "7")
+    assert code == 2 and out == ""
+    assert "missing required flag(s): --t, --l, --lambda" in err
+
+
+@pytest.mark.parametrize("formula", sorted(BOUNDS))
+def test_bounds_without_flags_is_usage_error(capsys, formula):
+    code, out, err = run(capsys, "bounds", formula)
+    assert code == 2 and out == ""
+    assert "missing required flag(s)" in err and "NoneType" not in err
+
+
 def test_bounds_pigeonhole(capsys):
     code, out, _ = run(capsys, "bounds", "pigeonhole", "--t", "2", "--l", "1",
                        "--lambda", "1", "--m", "7", "--profile", "21,7,0")
@@ -151,6 +164,33 @@ def test_search_env_budget(capsys, monkeypatch):
                        "--policy", "free")
     assert code == 0
     assert json.loads(out)["proof_of_optimality"] is False
+
+
+def test_search_negative_budget_is_usage_error(capsys, monkeypatch):
+    argv = ["search", "--m", "7", "--config", "2,2,1", "--sums", "3", "--policy", "free"]
+    code, out, err = run(capsys, *argv, "--budget-nodes", "-1")
+    assert code == 2 and out == "" and "budget" in err
+    monkeypatch.setenv("XFC_BUDGET_NODES", "-1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.mat"
+    code, out, err = run(capsys, "construct", "kms", "--m", "5", "--s", "2", "-o", str(target))
+    assert code == 2 and out == ""
+    assert f"cannot write {target}" in err and "Traceback" not in err
+    code, out, err = run(capsys, "construct", "kms", "--m", "5", "--s", "2", "--meta",
+                         "-o", str(target))
+    assert code == 2 and out == ""
+
+
+def test_unwritable_witness_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "w.mat"
+    code, out, err = run(capsys, "search", "--m", "5", "--config", "2,1,1",
+                         "--witness-out", str(target))
+    assert code == 2 and out == ""
+    assert f"cannot write {target}" in err and "Traceback" not in err
 
 
 def test_search_workers_flag_is_usage_error():

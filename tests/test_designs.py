@@ -142,6 +142,9 @@ def test_design_text_round_trip():
         ("7 3 2 1 2\n1 2 3\n", 3),
         ("7 3 2 1 1\n1 2\n", 2),
         ("7 3 2 1 1\n3 2 1\n", 2),
+        ("7 3 2 1 2\n1 2 3\n1 1 2\n", 3),
+        ("7 3 2 1 2\n1 2 3\n1 2 8\n", 3),
+        ("-7 3 2 1 0\n", 1),
     ],
 )
 def test_design_text_errors(text, line):

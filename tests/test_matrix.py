@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from conftest import brute_contains
 
+from xfc.constructions import split_1100_construction
 from xfc.matrix import (
     BinMatrix,
     Block,
@@ -211,6 +212,61 @@ def test_support_count_total_identity():
         assert total == sum(
             comb(c.bit_count(), t) * comb(m - c.bit_count(), ell) for c in A.cols
         )
+
+
+def brute_splits(A, t, ell):
+    """(count, split) for every (t, ell) split, in lexicographic order."""
+    rows = range(1, A.m + 1)
+    out = []
+    for T in combinations(rows, t):
+        for Z in combinations([r for r in rows if r not in T], ell):
+            count = sum(
+                1 for c in A.cols
+                if all(c >> (r - 1) & 1 for r in T) and not any(c >> (r - 1) & 1 for r in Z)
+            )
+            out.append((count, RowSplit(T, Z)))
+    return out
+
+
+def test_split_search_matches_brute_force():
+    # columns drawn partly from a small pool, so repeats and tied splits are common
+    rng = random.Random(2024)
+    ties = 0
+    for _ in range(200):
+        m = rng.randint(0, 7)
+        pool = [rng.randrange(1 << m) for _ in range(3)]
+        n = rng.randint(0, 9)
+        A = BinMatrix(m, tuple(rng.choice(pool) if rng.random() < 0.6 else rng.randrange(1 << m)
+                               for _ in range(n)))
+        for t in range(m + 2):
+            for ell in range(m + 2 - t):
+                splits = brute_splits(A, t, ell)
+                best = max((count for count, _ in splits), default=None)
+                for q in range(n + 2):
+                    expected = q == 0 or best is not None and best >= q
+                    assert contains_config(Block(q, t, ell), A) == expected, (q, t, ell, A)
+                if t + ell > m:
+                    with pytest.raises(ValueError):
+                        max_block_multiplicity(A, t, ell)
+                    continue
+                lex_least = next(split for count, split in splits if count == best)
+                assert max_block_multiplicity(A, t, ell) == (best, lex_least), (t, ell, A)
+                ties += sum(count == best for count, _ in splits) > 1
+    assert ties > 100  # the lexicographic tie-break is really exercised
+
+
+def test_split_search_pins():
+    A19 = split_1100_construction(19, 1, 1)
+    assert max_block_multiplicity(A19, 2, 2) == (4, RowSplit((1, 2), (4, 5)))
+    A25 = split_1100_construction(25, 1, 1)
+    assert not contains_config(Block(5, 2, 2), A25)
+    assert contains_config(Block(4, 2, 2), A25)
+
+
+def test_split_search_depth_is_not_bounded_by_the_call_stack():
+    A = BinMatrix(1500, ((1 << 1500) - 1,))
+    assert contains_config(Block(1, 1200, 0), A)
+    assert max_block_multiplicity(A, 1200, 0) == (1, RowSplit(range(1, 1201), ()))
 
 
 # ---------------------------------------------------------------- containment

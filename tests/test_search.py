@@ -193,6 +193,16 @@ def test_node_budget_gives_best_effort():
     assert verify_witness(SearchProblem(7, Block(2, 2, 1), sums=frozenset({3}), policy="free"), r.witness)
 
 
+def test_node_budget_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        SearchProblem(7, Block(2, 2, 1), node_budget=-1)
+    # budget 0 still runs: the greedy incumbent, reported without a proof
+    p = SearchProblem(7, Block(2, 2, 1), sums=frozenset({3}), policy="free", node_budget=0)
+    r = exact_max(p)
+    assert not r.proof_of_optimality and r.optimum >= 1
+    assert verify_witness(p, r.witness)
+
+
 def test_general_pattern_search_tiny():
     pattern = General(BinMatrix.from_columns(2, [(1,), (2,)]))
     p = SearchProblem(3, pattern)
