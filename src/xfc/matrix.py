@@ -233,21 +233,34 @@ def _rising_splits(A: BinMatrix, t: int, ell: int, need: int):
     An iterative DFS over the ones-rows, then the zeros-rows, each ascending,
     carrying the AND of the chosen rows' sets (bit j of ones[r]: column j has
     a 1 in row r + 1).  A row only shrinks the AND, so a branch whose popcount
-    is below ``need`` is cut; a zeros-row that is a ones-row empties the AND."""
+    is below ``need`` is cut; a zeros-row that is a ones-row empties the AND.
+    Every zeros-row of a completion keeps ``need`` of the AND on its zeros,
+    so a ones-branch with fewer than ell such rows is cut too."""
     # m-digit column strings, last first: row r + 1 is every m-th digit from m-1-r
     bits = "".join([format(c | 1 << A.m, "b")[1:] for c in reversed(A.cols)])
     ones = [int("0" + bits[A.m - 1 - r::A.m], 2) for r in range(A.m)]
     zeros = [((1 << A.ncols) - 1) ^ s for s in ones]
     k = t + ell
+
+    def completes(support: int) -> bool:
+        """At least ell rows keep ``need`` of the support on their zeros."""
+        left = ell
+        for z in zeros:
+            if not left:
+                break
+            if (support & z).bit_count() >= need:
+                left -= 1
+        return not left
+
     acc = [(1 << A.ncols) - 1] * (k + 1)  # acc[d]: AND of the sets chosen above depth d
     row = [0] * (k + 1)  # row[d]: next row index to try at depth d, so the chosen row's number
-    d = 0
+    d = 0 if completes(acc[0]) else -1
     while d >= 0:
         if d < k:
             sets, end = (ones, t) if d < t else (zeros, k)
             for r in range(row[d], A.m - end + d + 1):  # leaves rows for depths d+1..end-1
                 support = acc[d] & sets[r]
-                if support.bit_count() >= need:
+                if support.bit_count() >= need and (d >= t or completes(support)):
                     row[d], acc[d + 1] = r + 1, support
                     d += 1
                     row[d] = 0 if d == t else r + 1

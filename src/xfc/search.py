@@ -8,7 +8,7 @@ t-ones/ell-zeros column iff every split (T, Z), disjoint row sets of
 sizes t and ell, is hit (ones on T, zeros on Z) by at most q-1 of its
 columns.  The search keeps, for each k up to q-1, the bitmask of splits
 hit at least k times, so feasibility of a candidate is one AND of its
-split mask (built on first visit) with the saturated set.
+split mask (all built when a DFS is needed) with the saturated set.
 
 With rows 0..m-1 and the colex rank sum_j C(r_j, j) of a subset
 {r_1 < ... < r_k}, split (T, Z) is bit W*rank(T) + rank(Z), W = C(m, ell).
@@ -20,9 +20,32 @@ ascending pass over the rows builds either selector: E_k(S + r) =
 E_k(S) | E_{k-1}(S) << stride*C(r, k).  Masks are C(m, t) * C(m, ell)
 bits wide since each slot has room for the ell-sets meeting T, whose bits
 are never set; the bound counts only the C(m, t) * C(m-t, ell) real
-splits.  Pruning combines the per-split residual budgets into a
-fractional covering bound: a column of sum s hits C(s, t) * C(m-s, ell)
-splits, so at most floor(budget / min remaining weight) more columns fit.
+splits.
+
+Pruning follows the candidate-set discipline of maximum-clique branch and
+bound (Carraghan and Pardalos 1990; Ostergard 2002).  Each node keeps the
+list of candidates still feasible below it; a child's list is its
+parent's from the child's own position on (the next one if the column
+may not repeat), less the candidates that hit a split the child
+saturates.  Saturation only grows along a path, so a dropped candidate
+never returns; one that fails the row-symmetry test below stays listed,
+since the cell starts only grow and it may pass deeper down.  Only splits in U, the OR of the listed masks, can still
+be hit, each cap minus its count more times, so the live budget
+sum_{k=1..cap} popcount(U & ~levels[k]) caps the total weight of the
+columns still to come.  A column of sum s hits C(s, t) * C(m-s, ell)
+splits, so the listed columns fall into a few weight classes, and the
+most of them that fit in the budget, taken lightest first with a
+repeatable column counted cap times, bounds the columns still to come:
+a cardinality knapsack.  A child is pushed only if its depth plus its
+knapsack beats the best, and a node stops when the knapsack over the
+rest of its list does.  The root needs no masks: its budget is cap times
+the split count, and when its knapsack does not beat the greedy
+incumbent no DFS runs.  Every listed column weighs at least the least
+weight at or after its position, and the live budget is at most cap
+times the split count less the weights chosen, so each knapsack is at
+most floor(budget / least remaining weight), the bound that counts every
+split.  With an incumbent at least as large, the tree searched is a
+subtree of that bound's tree.
 
 Row symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks and
 Roy, KR 1996).  Rows that agree on every chosen column form a cell.  In
@@ -50,7 +73,7 @@ sets visited, not the 2^n subsets of the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 
 from .matrix import BinMatrix, Block, Configuration, General, contains_config, mask_of
@@ -59,7 +82,8 @@ POLICIES = ("simple", "free", "paper")
 
 # Kernel size limits: all columns of m = 15 and 16 KiB split masks, checked
 # before enumerating (the benchmark's largest: 8,192 columns, 22,308 bits),
-# and 256 MiB of level masks on the deepest DFS stack (m = 10, q = 200: 15 MB).
+# and 256 MiB of level masks and candidate lists on the deepest DFS stack
+# (m = 10, q = 200: 15 MB).
 MAX_CANDIDATES = 1 << 15
 MAX_MASK_BITS = 1 << 17
 MAX_STACK_BYTES = 1 << 28
@@ -177,17 +201,36 @@ class _Kernel:
         # columns that hit no split are always addable, once each
         self.free_cols = [c for c in candidates if not weight[c.bit_count()]]
         self.cols = cols = [c for c in candidates if weight[c.bit_count()]]
-        self.weights = weights = [weight[c.bit_count()] for c in cols]
+        weights = [weight[c.bit_count()] for c in cols]
         self.repeatable = [c.bit_count() not in unrep for c in cols]
         # rows where a run of ones starts; canonical iff all are cell starts
         self.runstart = [c & ~(c << 1) for c in cols]
-        # min weight over candidates at or after each index, for the bound
-        self.suffix_min = list(accumulate(reversed(weights), min))[::-1] + [0]
-        if cols:  # each frame holds q level masks, and no path outlasts the budget
-            depth = self.cap * self.nsplits // self.suffix_min[0]
-            if depth * cfg.q * (width // 8 + 36) > MAX_STACK_BYTES:
-                raise ValueError(f"a {depth}-deep stack of {cfg.q} masks per frame exceeds "
-                                 f"the search limit of {MAX_STACK_BYTES} bytes")
+        # the bound counts columns per weight class, lightest first; a
+        # repeatable column stands for cap copies of its weight
+        self.class_weights = sorted(set(weights))
+        index = {w: k for k, w in enumerate(self.class_weights)}
+        self.wclass = [index[w] for w in weights]
+        self.units = [self.cap if r else 1 for r in self.repeatable]
+        self.root_counts = [0] * len(self.class_weights)
+        for k, u in zip(self.wclass, self.units):
+            self.root_counts[k] += u
+        # no path is longer than the root bound; each frame holds q level
+        # masks and a list of at most len(cols) candidate indices
+        self.root_bound = depth = self.knapsack(self.root_counts, self.cap * self.nsplits)
+        if depth * (cfg.q * (width // 8 + 36) + 8 * len(cols) + 56) > MAX_STACK_BYTES:
+            raise ValueError(f"a {depth}-deep stack of {cfg.q} masks per frame exceeds "
+                             f"the search limit of {MAX_STACK_BYTES} bytes")
+
+    def knapsack(self, counts: list[int], budget: int) -> int:
+        """Most columns whose weights fit in budget, counts[k] of them of
+        weight class_weights[k]: fill from the lightest class up."""
+        total = 0
+        for w, c in zip(self.class_weights, counts):
+            if c * w > budget:
+                return total + budget // w
+            budget -= c * w
+            total += c
+        return total
 
     def mask(self, c: int) -> int:
         """Split mask of column c: one carry-free product of its selectors."""
@@ -211,49 +254,61 @@ class _Kernel:
         Returns (best_sol or None, nodes, exhausted).  best_sol is None when
         no solution beat the incumbent.
         """
-        cols, weights, runstart = self.cols, self.weights, self.runstart
-        suffix_min, repeatable, cap = self.suffix_min, self.repeatable, self.cap
-        n = len(cols)
-        full = self.full
-        masks: list[int | None] = [None] * n  # split masks, built on first visit
-        levels = self.root_levels
-        # bounds: the first row of each cell; the root has one cell of all rows
-        i, bounds, budget = 0, 1, cap * self.nsplits
+        if self.root_bound <= incumbent:
+            return None, 1, False
+        cols, runstart, cap, full = self.cols, self.runstart, self.cap, self.full
+        wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
+        masks = [self.mask(c) for c in cols]
+        nclasses = len(self.class_weights)
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False
         cur: list[int] = []
-        stack: list[tuple[int, int, tuple[int, ...], int]] = []  # parent state per depth
+        # per node: its feasible candidates in order, the position of the
+        # next child, the class counts of cands[pos:], the row cell starts,
+        # the level masks and the split budget (cap * nsplits at the root)
+        cands, pos, counts = list(range(len(cols))), 0, self.root_counts.copy()
+        bounds, levels, budget = 1, self.root_levels, cap * self.nsplits
+        stack: list[tuple] = []
         while True:
-            depth, outside, sat = len(cur), ~bounds, levels[cap]
-            while i < n and depth + budget // suffix_min[i] > best_n:
+            depth, outside = len(cur), ~bounds
+            while pos < len(cands) and depth + knapsack(counts, budget) > best_n:
+                i = cands[pos]
                 if not runstart[i] & outside:
                     hm = masks[i]
-                    if hm is None:
-                        hm = masks[i] = self.mask(cols[i])
-                    if not hm & sat:
+                    lv = levels[:1] + tuple(lk | hm & below for lk, below in zip(levels[1:], levels))
+                    sat = lv[cap]
+                    child, live, ccounts = [], 0, [0] * nclasses
+                    for j in cands[pos if repeatable[i] else pos + 1:]:
+                        mj = masks[j]
+                        if not mj & sat:
+                            child.append(j)
+                            live |= mj
+                            ccounts[wclass[j]] += units[j]
+                    # only splits in live can still be hit, each cap - count times
+                    cbudget = sum((live & ~lk).bit_count() for lk in lv[1:])
+                    if depth + 1 + knapsack(ccounts, cbudget) > best_n:
                         break
-                i += 1
-            else:  # no child left here, or the bound cuts the rest (suffix_min grows with i)
+                counts[wclass[i]] -= units[i]
+                pos += 1
+            else:  # no child left here, or the bound cuts the rest of the node
                 if not stack:
                     break
-                i, bounds, levels, budget = stack.pop()
-                cur.pop()
-                i += 1
+                cands, pos, counts, bounds, levels, budget = stack.pop()
+                i = cur.pop()
+                counts[wclass[i]] -= units[i]
+                pos += 1
                 continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 exhausted = True
                 break
-            stack.append((i, bounds, levels, budget))
+            stack.append((cands, pos, counts, bounds, levels, budget))
             cur.append(i)
             x = cols[i]
+            cands, pos, counts, levels, budget = child, 0, ccounts, lv, cbudget
             bounds |= full & (x ^ (x << 1))
-            budget -= weights[i]
-            levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
             if depth + 1 > best_n:
                 best_n, best_sol = depth + 1, cur.copy()
-            if not repeatable[i]:
-                i += 1
         return best_sol, nodes, exhausted
 
 
@@ -264,7 +319,7 @@ def exact_max(p: SearchProblem) -> SearchResult:
         return _exact_max_general(p)
     kernel = _Kernel(p)
     greedy_sol = kernel.greedy()
-    best_sol, nodes, exhausted = kernel.solve(len(greedy_sol) - 1, p.node_budget)
+    best_sol, nodes, exhausted = kernel.solve(len(greedy_sol), p.node_budget)
     if best_sol is None:
         best_sol = greedy_sol
     witness = BinMatrix(p.m, tuple(kernel.free_cols) + tuple(kernel.cols[i] for i in best_sol))

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -160,8 +161,7 @@ def test_search_subcommand(capsys, tmp_path):
 
 def test_search_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("XFC_BUDGET_NODES", "5")
-    code, out, _ = run(capsys, "search", "--m", "7", "--config", "2,2,1", "--sums", "3",
-                       "--policy", "free")
+    code, out, _ = run(capsys, "search", "--m", "7", "--config", "3,2,1", "--policy", "paper")
     assert code == 0
     assert json.loads(out)["proof_of_optimality"] is False
 
@@ -220,7 +220,16 @@ def test_search_deep_stack_is_usage_error(capsys):
     code, out, err = run(capsys, "search", "--m", "9", "--config", "9999,1,0", "--sums", "1",
                          "--policy", "free")
     assert code == 2 and out == ""
-    assert "stack" in err and "limit" in err
+    assert "89982-deep stack" in err and "limit" in err
+
+
+def test_contains_without_zeros_rows_is_fast(capsys, tmp_path):
+    mat = tmp_path / "ones.mat"
+    mat.write_text("1500 1\n" + "1\n" * 1500)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "contains", "--config", "1,1200,300", "--matrix", str(mat), "--quiet")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
 
 
 def test_search_internal_failure_exit_code(capsys, monkeypatch):

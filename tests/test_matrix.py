@@ -1,6 +1,7 @@
 """Matrix core: representation, text format, containment decisions."""
 
 import random
+import time
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -267,6 +268,16 @@ def test_split_search_depth_is_not_bounded_by_the_call_stack():
     A = BinMatrix(1500, ((1 << 1500) - 1,))
     assert contains_config(Block(1, 1200, 0), A)
     assert max_block_multiplicity(A, 1200, 0) == (1, RowSplit(range(1, 1201), ()))
+
+
+def test_split_search_cuts_ones_sets_without_zeros_rows():
+    # no row of an all-ones column has a zero, so no ones-set completes; the
+    # search must see that before walking C(1500, 1200) of them
+    A = BinMatrix(1500, ((1 << 1500) - 1,))
+    start = time.perf_counter()
+    assert max_block_multiplicity(A, 1200, 300) == (0, RowSplit(range(1, 1201), range(1201, 1501)))
+    assert not contains_config(Block(1, 1200, 300), A)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------- containment
