@@ -6,7 +6,7 @@ audits the counting inequalities on concrete matrices, and computes exact
 extremal values on small instances.
 """
 
-from .analysis import AnalysisReport, TsetTable, lemma_audit, tset_table, typical_clique, w_z_sets
+from .analysis import AnalysisReport, TsetTable, lemma_audit, tset_table, w_z_sets
 from .bounds import (
     BoundValue,
     PigeonholeCheck,
@@ -23,7 +23,6 @@ from .bounds import (
 )
 from .constructions import (
     ConstructionError,
-    LayerSpec,
     complete_layer,
     exceeder_construction,
     genl_equality_construction,
@@ -35,7 +34,6 @@ from .constructions import (
 from .designs import (
     Design,
     DesignCheck,
-    complement_blocks,
     divisibility_check,
     lambda_fold,
     read_design,
@@ -54,7 +52,6 @@ from .matrix import (
     contains_config,
     max_block_multiplicity,
     read_matrix,
-    write_matrix,
 )
 from .search import SearchProblem, SearchResult, exact_max, exhaustive_oracle, verify_witness
 

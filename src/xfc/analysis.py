@@ -33,9 +33,6 @@ class TsetTable:
     mu: dict[tuple[int, ...], int]
     d: dict[tuple[int, ...], int]
 
-    def is_missing(self, s) -> bool:
-        return self.mu[tuple(sorted(s))] == 0
-
     def is_typical(self, s) -> bool:
         s = tuple(sorted(s))
         return self.mu[s] == 1 and self.d[s] == self.lam
@@ -117,7 +114,7 @@ def w_z_sets(A: BinMatrix, t: int, lam: int, rows_r) -> tuple[tuple, tuple]:
     """
     rows_r = sorted(set(rows_r))
     if any(r < 1 or r > A.m for r in rows_r):
-        raise ValueError(f"rows outside 1..{A.m}")
+        raise ValueError(f"rows outside 1..{A.m}: {rows_r}")
     rmask = mask_of(rows_r)
     touched: set[tuple[int, ...]] = set()
     for c in A.cols:
@@ -145,6 +142,8 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
     """
     if not 1 <= t <= A.m:
         raise ValueError(f"t={t} outside 1..{A.m}")
+    if ell < 0:
+        raise ValueError(f"ell={ell} must be nonnegative")
     prof = A.column_profile(t)
     table = tset_table(A, t, lam)
     per_row = _per_row_counts(A, t)
@@ -245,10 +244,10 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
     row_set = None
     if rows_r is not None:
         rows_r = sorted(set(rows_r))
+        w, z = w_z_sets(A, t, lam, rows_r)  # checks the rows before they become a mask
         rmask = mask_of(rows_r)
         a_r = sum(1 for c in A.cols if c.bit_count() == t + 1 and c & rmask)
         cap = len(rows_r) * row_cap
-        w, z = w_z_sets(A, t, lam, rows_r)
         note = ""
         if len(rows_r) >= lam + ell:
             note = f"|R| = {len(rows_r)} >= lam + ell = {lam + ell}: outside the intended regime"
@@ -289,63 +288,3 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
         ratios=ratios,
     )
 
-
-def typical_clique(A: BinMatrix, t: int, lam: int, k: int):
-    """Lexicographically least k-subset B of [m] all of whose t-subsets are
-    typical, or None.
-
-    Exact search: rows whose typical-degree cannot support membership are
-    peeled off first, then a lexicographic depth-first extension checks
-    only the t-subsets completed by each new row.
-    """
-    if k > A.m:
-        raise ValueError(f"k={k} exceeds row count {A.m}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k < t:
-        return tuple(range(1, k + 1))  # no t-subsets to satisfy
-    table = tset_table(A, t, lam)
-    typical = {s for s in table.mu if table.is_typical(s)}
-    if t == 0:
-        return tuple(range(1, k + 1)) if () in typical else None
-
-    # peel rows that cannot lie in any solution: each member of B needs
-    # C(k-1, t-1) typical t-sets through it within B
-    alive = set(range(1, A.m + 1))
-    need = comb(k - 1, t - 1)
-    changed = True
-    while changed:
-        changed = False
-        deg = {r: 0 for r in alive}
-        for s in typical:
-            if all(p in alive for p in s):
-                for p in s:
-                    deg[p] += 1
-        drop = {r for r in alive if deg[r] < need}
-        if drop:
-            alive -= drop
-            changed = True
-    rows = sorted(alive)
-    if len(rows) < k:
-        return None
-
-    chosen: list[int] = []
-
-    def extend(i: int) -> bool:
-        if len(chosen) == k:
-            return True
-        for j in range(i, len(rows)):
-            if len(rows) - j < k - len(chosen):
-                return False
-            r = rows[j]
-            if all(
-                tuple(sorted(sub + (r,))) in typical
-                for sub in combinations(chosen, t - 1)
-            ):
-                chosen.append(r)
-                if extend(j + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if extend(0) else None

@@ -19,8 +19,6 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from .analysis import lemma_audit
 from .constructions import (
-    ConstructionError,
-    LayerSpec,
     complete_layer,
     exceeder_construction,
     genl_equality_construction,
@@ -87,15 +85,16 @@ def _parse_block(text: str) -> Block:
 
 
 def _parse_sums(text: str, m: int) -> frozenset[int]:
+    """Comma-separated sums and lo..hi ranges; both ends of a range are
+    checked before it is expanded."""
     out: set[int] = set()
     for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        else:
-            out.add(int(part))
-    if any(s < 0 or s > m for s in out):
-        raise CliError(f"sums outside 0..{m}: {text!r}")
+        lo, dots, hi = part.partition("..")
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+        if not (0 <= lo <= m and 0 <= hi <= m):
+            raise CliError(f"sums outside 0..{m}: {text!r}")
+        out.update(range(lo, hi + 1))
     return frozenset(out)
 
 
@@ -126,7 +125,7 @@ def cmd_construct(args) -> int:
         A = complete_layer(args.m, args.s)
     elif kind == "layers":
         _require(args, m=args.m, sums=args.sums)
-        A = layer_range(LayerSpec(args.m, _parse_sums(args.sums, args.m)))
+        A = layer_range(args.m, _parse_sums(args.sums, args.m))
     elif kind == "genl-equality":
         _require(args, t=args.t, l=args.l, **{"lambda": args.lam}, m=args.m)
         if args.design:
@@ -240,21 +239,17 @@ def cmd_bounds(args) -> int:
     func, flags = BOUNDS[name]
     values = {f: getattr(args, "lam" if f == "lambda" else f) for f in flags}
     _require(args, **values)
-    try:
-        if name == "pigeonhole":
-            if not args.profile:
-                raise CliError("pigeonhole needs --profile a_t,a_t1,a_higher")
-            profile = tuple(int(x) for x in args.profile.split(","))
-            if len(profile) != 3:
-                raise CliError("profile must have three comma-separated counts")
-            check = func(*values.values(), profile)
-            print(json.dumps({"formula": name, "lhs": check.lhs, "rhs": check.rhs,
-                              "holds": check.holds}))
-            return 0
-        bv = func(*values.values())
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    print(json.dumps(_bound_json(name, bv)))
+    if name == "pigeonhole":
+        if not args.profile:
+            raise CliError("pigeonhole needs --profile a_t,a_t1,a_higher")
+        profile = tuple(int(x) for x in args.profile.split(","))
+        if len(profile) != 3:
+            raise CliError("profile must have three comma-separated counts")
+        check = func(*values.values(), profile)
+        print(json.dumps({"formula": name, "lhs": check.lhs, "rhs": check.rhs,
+                          "holds": check.holds}))
+        return 0
+    print(json.dumps(_bound_json(name, func(*values.values()))))
     return 0
 
 
@@ -289,7 +284,7 @@ def _report_json(report, include_witness: bool) -> dict:
 
 def cmd_analyze(args) -> int:
     A = _read_matrix_file(args.matrix)
-    rows = _parse_rows(args.rows) if args.rows else None
+    rows = _parse_rows(args.rows) if args.rows is not None else None
     report = lemma_audit(A, args.t, args.l, args.lam, rows_r=rows)
     print(json.dumps(_report_json(report, args.witness)))
     return 0 if report.all_passed else NEGATIVE
@@ -303,10 +298,7 @@ def cmd_search(args) -> int:
         env = os.environ.get("XFC_BUDGET_NODES")
         budget = int(env) if env else None
     problem = SearchProblem(args.m, config, sums=sums, policy=args.policy, node_budget=budget)
-    try:
-        result = exact_max(problem)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    result = exact_max(problem)
     out = {
         "optimum": result.optimum,
         "nodes": result.nodes,
@@ -421,10 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ConstructionError, ValueError, TypeError) as e:
+    except (CliError, ValueError, TypeError) as e:  # ConstructionError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as e:

@@ -9,7 +9,6 @@ parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
@@ -22,17 +21,6 @@ class ConstructionError(ValueError):
     parameters."""
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    m: int
-    sums: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sums", frozenset(self.sums))
-        if any(s < 0 or s > self.m for s in self.sums):
-            raise ValueError(f"sums must lie in 0..{self.m}")
-
-
 def complete_layer(m: int, s: int) -> BinMatrix:
     """All C(m, s) distinct columns of sum s, in lexicographic order of
     their 1-position sets."""
@@ -41,12 +29,9 @@ def complete_layer(m: int, s: int) -> BinMatrix:
     return BinMatrix(m, tuple(mask_of(c) for c in combinations(range(1, m + 1), s)))
 
 
-def layer_range(spec: LayerSpec) -> BinMatrix:
+def layer_range(m: int, sums) -> BinMatrix:
     """Concatenation of complete layers over the given sums, ascending."""
-    out = BinMatrix(spec.m)
-    for s in sorted(spec.sums):
-        out = out.concat(complete_layer(spec.m, s))
-    return out
+    return BinMatrix(m, tuple(c for s in sorted(set(sums)) for c in complete_layer(m, s).cols))
 
 
 def _check_avoids(A: BinMatrix, forbidden: Block, what: str) -> None:
@@ -71,9 +56,9 @@ def genl_equality_construction(t: int, ell: int, lam: int, m: int, design: Desig
     check = verify_design(design.blocks, m, t + 1, t, lam)
     if not check.ok:
         raise ConstructionError(f"design failed verification, witness {check.witness}")
-    A = layer_range(LayerSpec(m, frozenset(range(t + 1))))
+    A = layer_range(m, range(t + 1))
     A = A.concat(design.incidence())
-    A = A.concat(layer_range(LayerSpec(m, frozenset(range(m - ell + 1, m + 1)))))
+    A = A.concat(layer_range(m, range(m - ell + 1, m + 1)))
     want = genl_bound(t, ell, lam, m).exact
     if A.ncols != want:
         raise ConstructionError(f"column count {A.ncols} != bound {want}")
@@ -92,7 +77,7 @@ def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
     if lam < 1:
         raise ValueError("need lam >= 1")
     m = lam + t + ell
-    A = layer_range(LayerSpec(m, frozenset(range(t + 2)) | frozenset(range(m - ell + 1, m + 1))))
+    A = layer_range(m, [*range(t + 2), *range(m - ell + 1, m + 1)])
     gap = A.ncols - genl_bound(t, ell, lam, m).exact
     want = exceeder_gap(t, ell, lam).exact
     if gap != want:
@@ -214,13 +199,13 @@ def split_1100_construction(m: int, a: int, b: int) -> BinMatrix:
         raise ValueError("need a, b >= 0 with a + b >= 1")
     base = sts(m)  # validates the residue classes
     lam = a + b
-    A = layer_range(LayerSpec(m, frozenset({0, 1, 2})))
+    A = layer_range(m, (0, 1, 2))
     if a:
         A = A.concat(lambda_fold(base, a).incidence())
     if b:
         co = lambda_fold(base, b).incidence().complement()
         A = A.concat(co)
-    A = A.concat(layer_range(LayerSpec(m, frozenset({m - 2, m - 1, m}))))
+    A = A.concat(layer_range(m, (m - 2, m - 1, m)))
     want = bound_1100(lam, m).exact
     if A.ncols != want:
         raise ConstructionError(f"column count {A.ncols} != bound {want}")

@@ -93,26 +93,21 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
 @dataclass(frozen=True)
 class DivisibilityCheck:
     per_index: dict[int, bool]
-    indices: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
         return all(self.per_index.values())
 
 
-def divisibility_check(t: int, k: int, lam: int, m: int, *, strict_range: bool = False) -> DivisibilityCheck:
-    """Necessary conditions C(k-i, t-i) | lam * C(m-i, t-i).
+def divisibility_check(t: int, k: int, lam: int, m: int) -> DivisibilityCheck:
+    """Necessary conditions C(k-i, t-i) | lam * C(m-i, t-i) for i = 0..t-1.
 
-    Default index range is i = 0..t-1 (the full standard conditions; i=0 is
-    what makes the Steiner residue classes mod 6 emerge).  With
-    strict_range=True only i = 1..t-1 is checked.
+    The i=0 condition is what makes the Steiner residue classes mod 6
+    emerge.
     """
     if not 0 <= t <= k <= m:
         raise ValueError("need 0 <= t <= k <= m")
-    start = 1 if strict_range else 0
-    indices = tuple(range(start, t))
-    per = {i: (lam * comb(m - i, t - i)) % comb(k - i, t - i) == 0 for i in indices}
-    return DivisibilityCheck(per, indices)
+    return DivisibilityCheck({i: (lam * comb(m - i, t - i)) % comb(k - i, t - i) == 0 for i in range(t)})
 
 
 def lambda_fold(d: Design, c: int) -> Design:
@@ -121,23 +116,6 @@ def lambda_fold(d: Design, c: int) -> Design:
     if c < 1:
         raise ValueError("fold factor must be >= 1")
     return Design(d.m, d.k, d.t, c * d.lam, d.blocks * c)
-
-
-def complement_blocks(d: Design) -> Design:
-    """Replace each block by its set complement in [m]; block size m-k.
-
-    Only the structural exchange is performed; the complement's own
-    coverage index (carried over by the standard counting identity) is
-    not re-verified here.
-    """
-    pts = set(range(1, d.m + 1))
-    blocks = tuple(tuple(sorted(pts - set(b))) for b in d.blocks)
-    num = d.lam * comb(d.m - d.t, d.k)
-    den = comb(d.m - d.t, d.k - d.t)
-    new_lam, rem = divmod(num, den) if den else (0, 0)
-    if rem:
-        raise ValueError("complement index is non-integral; input is not a verified design")
-    return Design(d.m, d.m - d.k, d.t, new_lam, blocks)
 
 
 def _bose_triples(n: int) -> list[tuple[int, int, int]]:
@@ -196,7 +174,7 @@ def sts(m: int) -> Design:
     constructions over Z_{2n+1} (m = 6n+3) or Z_{2n} plus a point
     (m = 6n+1), then checked.
     """
-    if m < 7 or m % 6 not in (1, 3):
+    if m < 7 or not divisibility_check(2, 3, 1, m).ok:
         raise ValueError(f"no Steiner triple system on {m} points (need m = 1, 3 mod 6, m >= 7)")
     if m % 6 == 3:
         triples = _bose_triples((m - 3) // 6)

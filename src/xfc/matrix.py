@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
 
 class MatrixFormatError(ValueError):
@@ -92,20 +91,6 @@ class BinMatrix:
             raise ValueError(f"row-count mismatch: {self.m} vs {other.m}")
         return BinMatrix(self.m, self.cols + other.cols)
 
-    def restrict_rows(self, rows) -> "BinMatrix":
-        """Keep all columns, restricted to the given rows (ascending order)."""
-        rows = sorted(set(rows))
-        if rows and not (1 <= rows[0] and rows[-1] <= self.m):
-            raise ValueError(f"rows outside 1..{self.m}")
-        cols = []
-        for c in self.cols:
-            out = 0
-            for i, r in enumerate(rows):
-                if c >> (r - 1) & 1:
-                    out |= 1 << i
-            cols.append(out)
-        return BinMatrix(len(rows), tuple(cols))
-
     def restrict_sums(self, sums) -> "BinMatrix":
         """Keep only columns whose sum lies in ``sums`` (order preserved)."""
         allowed = set(sums)
@@ -165,7 +150,7 @@ class Block:
 
     def __post_init__(self):
         if self.q < 0 or self.t < 0 or self.ell < 0:
-            raise ValueError("Block parameters must be nonnegative")
+            raise ValueError(f"Block parameters must be nonnegative, got {self.q},{self.t},{self.ell}")
 
     @property
     def nrows(self) -> int:
@@ -283,8 +268,9 @@ def _contains_general(P: BinMatrix, A: BinMatrix) -> bool:
     partial column assignment iff, for every 0/1 signature over the
     assigned columns, P has at most as many rows with that signature as A
     does.  At full depth that check is exact.  A signature is an int, bit i
-    for assigned column i; A's are carried down the recursion and P's
-    multisets are counted once per depth.
+    for assigned column i; A's are kept per depth and P's multisets are
+    counted once per depth.  The search is iterative, so the pattern's
+    width is not limited by the call stack.
     """
     k = P.ncols
     if k == 0:
@@ -305,36 +291,30 @@ def _contains_general(P: BinMatrix, A: BinMatrix) -> bool:
         psig = [s | (fc >> i & 1) << j for i, s in enumerate(psig)]
         need.append(Counter(psig).items())
 
-    def assign(j: int, asig: list[int], last: int) -> bool:
+    asig = [[0] * A.m] + [None] * k  # asig[j]: A's row signatures over the first j assigned
+    nxt = [0] * k  # nxt[j]: next column of A to try for pattern column j, so the chosen one + 1
+    j = 0
+    while j >= 0:
+        for idx in range(nxt[j], A.ncols):
+            if used[idx] or asum[idx] < fsum[j] or A.m - asum[idx] < P.m - fsum[j]:
+                continue
+            c = A.cols[idx]
+            sig = [s | (c >> x & 1) << j for x, s in enumerate(asig[j])]
+            have = Counter(sig)
+            if not any(have[s] < n for s, n in need[j + 1]):
+                break
+        else:
+            j -= 1
+            if j >= 0:
+                used[nxt[j] - 1] = False
+            continue
+        used[idx], nxt[j], asig[j + 1] = True, idx + 1, sig
+        j += 1
         if j == k:
             return True
-        lo = last + 1 if j > 0 and fcols[j] == fcols[j - 1] else 0
-        for idx, c in enumerate(A.cols[lo:], lo):
-            if used[idx]:
-                continue
-            if asum[idx] < fsum[j] or A.m - asum[idx] < P.m - fsum[j]:
-                continue
-            sig = [s | (c >> x & 1) << j for x, s in enumerate(asig)]
-            have = Counter(sig)
-            if any(have[s] < n for s, n in need[j + 1]):
-                continue
-            used[idx] = True
-            if assign(j + 1, sig, idx):
-                return True
-            used[idx] = False
-        return False
-
-    return assign(0, [0] * A.m, -1)
-
-
-def support_count_total(A: BinMatrix, t: int, ell: int) -> int:
-    """Sum of block_support_count over all (t, ell) splits, computed
-    column-wise: a column of sum s pays C(s, t) * C(m - s, ell)."""
-    return sum(comb(c.bit_count(), t) * comb(A.m - c.bit_count(), ell) for c in A.cols)
-
-
-def write_matrix(A: BinMatrix) -> str:
-    return A.to_text()
+        # equal pattern columns take A's columns in ascending order
+        nxt[j] = idx + 1 if fcols[j] == fcols[j - 1] else 0
+    return False
 
 
 def read_matrix(text: str) -> BinMatrix:

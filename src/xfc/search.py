@@ -73,10 +73,10 @@ sets visited, not the 2^n subsets of the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from math import comb
 
-from .matrix import BinMatrix, Block, Configuration, General, contains_config, mask_of
+from .constructions import layer_range
+from .matrix import BinMatrix, Block, Configuration, General, contains_config
 
 POLICIES = ("simple", "free", "paper")
 
@@ -99,7 +99,7 @@ class SearchProblem:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("need m >= 1")
+            raise ValueError(f"need m >= 1, got {self.m}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if self.sums is not None:
@@ -150,13 +150,15 @@ def verify_witness(p: SearchProblem, A: BinMatrix) -> bool:
     return not contains_config(p.config, A)
 
 
-def _candidates(p: SearchProblem, limit: int, what: str) -> list[int]:
+def _candidates(p: SearchProblem, limit: int, what: str) -> tuple[int, ...]:
     """Columns of the allowed sums, sum ascending, then 1-positions
     lexicographic; refused before enumeration when more than limit."""
-    n = sum(comb(p.m, s) for s in p.allowed_sums())
-    if n > limit:
-        raise ValueError(f"{n} candidate columns exceeds the {what} limit of {limit}")
-    return [mask_of(pts) for s in p.allowed_sums() for pts in combinations(range(1, p.m + 1), s)]
+    n = 0
+    for s in p.allowed_sums():
+        n += comb(p.m, s)
+        if n > limit:  # stop before the count itself grows huge
+            raise ValueError(f"candidate columns exceed the {what} limit of {limit}")
+    return layer_range(p.m, p.allowed_sums()).cols
 
 
 def _selector(rows: int, steps: list[tuple[int, ...]]) -> int:
@@ -183,7 +185,7 @@ class _Kernel:
         zwidth = comb(m, ell)
         width = comb(m, t) * zwidth
         if width > MAX_MASK_BITS:
-            raise ValueError(f"{width}-bit split masks exceed the search limit of {MAX_MASK_BITS}")
+            raise ValueError(f"split masks exceed the search limit of {MAX_MASK_BITS} bits")
         self.cap = cfg.q - 1
         self.nsplits = comb(m, t) * comb(max(m - t, 0), ell)
         self.full = (1 << m) - 1

@@ -1,12 +1,10 @@
-"""t-set tables, audit verdicts, typical cliques, row-set splits."""
+"""t-set tables, audit verdicts, row-set splits."""
 
 import random
 from itertools import combinations
 from math import comb
 
-import pytest
-
-from xfc.analysis import lemma_audit, tset_table, tsets_colex, typical_clique, w_z_sets
+from xfc.analysis import lemma_audit, tset_table, tsets_colex, w_z_sets
 from xfc.constructions import complete_layer, genl_equality_construction
 from xfc.designs import sts
 from xfc.matrix import BinMatrix, mask_of
@@ -31,6 +29,11 @@ def test_table_on_design_union():
     assert tab.missing_tsets() == ()
     assert all(tab.d[s] == 1 for s in tab.d)
     assert len(tab.typical_tsets()) == 21
+    # the pairs inside {2..5}, each covered once by a triple through row 1,
+    # are typical; the pairs through row 1 are missing
+    pairs = list(combinations(range(2, 6), 2))
+    B = BinMatrix.from_columns(5, pairs + [(1,) + p for p in pairs])
+    assert set(tset_table(B, 2, 1).typical_tsets()) == set(pairs)
 
 
 def test_degree_counts_multiplicity():
@@ -139,41 +142,3 @@ def test_w_size_bounded_by_column_contributions():
         rmask = mask_of(rows)
         a_r = sum(1 for c in A.cols if c.bit_count() == t + 1 and c & rmask)
         assert len(w) <= (t + 1) * a_r
-
-
-def test_typical_clique_on_design_union():
-    A = design_plus_pairs(7)
-    assert typical_clique(A, 2, 1, 4) == (1, 2, 3, 4)
-    assert typical_clique(A, 2, 1, 7) == tuple(range(1, 8))
-
-
-def test_typical_clique_edge_cases():
-    empty = BinMatrix(5, ())
-    assert typical_clique(empty, 2, 1, 1) == (1,)  # k < t: vacuous
-    assert typical_clique(empty, 2, 1, 2) is None  # k = t needs a typical pair
-    with pytest.raises(ValueError):
-        typical_clique(empty, 2, 1, 9)
-
-
-def test_typical_clique_avoids_untypical_row():
-    # sum-2 columns for every pair inside {2..5}; each covered once by a
-    # triple through row 1, so exactly those pairs are typical
-    m = 5
-    pairs = [p for p in combinations(range(2, 6), 2)]
-    triples = [(1,) + p for p in pairs]
-    A = BinMatrix.from_columns(m, pairs + triples)
-    tab = tset_table(A, 2, 1)
-    assert set(tab.typical_tsets()) == set(pairs)
-    assert typical_clique(A, 2, 1, 3) == (2, 3, 4)
-
-
-def test_typical_clique_postcondition():
-    rng = random.Random(59)
-    for _ in range(20):
-        m = rng.randint(3, 7)
-        A = random_matrix(rng, m)
-        k = rng.randint(1, m)
-        found = typical_clique(A, 2, 1, k)
-        if found is not None and k >= 2:
-            tab = tset_table(A, 2, 1)
-            assert all(tab.is_typical(s) for s in combinations(found, 2))

@@ -79,6 +79,32 @@ def test_contains_general_pattern_file(capsys, tmp_path):
     assert json.loads(out)["contains"] is True
 
 
+def test_contains_general_pattern_depth_is_not_bounded_by_the_call_stack(capsys, tmp_path):
+    # 1,100 pattern columns, each one more level of the backtracker
+    ones = tmp_path / "ones.mat"
+    ones.write_text("1 1100\n" + "1" * 1100 + "\n")
+    over_zeros = tmp_path / "over-zeros.mat"
+    over_zeros.write_text("2 1100\n" + "1" * 1100 + "\n" + "0" * 1100 + "\n")
+    over_ones = tmp_path / "over-ones.mat"
+    over_ones.write_text("2 1100\n" + "1" * 1100 + "\n" + "1" * 1100 + "\n")
+    code, out, err = run(capsys, "contains", "--config-file", str(ones), "--matrix", str(over_zeros))
+    assert (code, out, err) == (0, "contains: true\n", "")
+    code, out, _ = run(capsys, "contains", "--config", "1100,1,0", "--matrix", str(over_zeros))
+    assert (code, out) == (0, "contains: true\n")
+    code, out, err = run(capsys, "contains", "--config-file", str(over_zeros),
+                         "--matrix", str(over_ones), "--quiet")
+    assert (code, out, err) == (1, "", "")
+
+
+def test_analyze_rejects_negative_zeros_count(capsys, tmp_path):
+    mat = tmp_path / "a.mat"
+    run(capsys, "construct", "kms", "--m", "5", "--s", "2", "-o", str(mat))
+    code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", "2", "--l", "-1",
+                         "--lambda", "1")
+    assert code == 2 and out == ""
+    assert "ell=-1" in err and "non-negative integer" not in err
+
+
 def test_verify_design_exit_codes(capsys, tmp_path):
     good = tmp_path / "good.des"
     good.write_text(write_design(sts(7)))
@@ -213,6 +239,23 @@ def test_search_oversized_instance_is_usage_error(capsys):
     code, out, err = run(capsys, "search", "--m", "30", "--config", "2,2,1")
     assert code == 2 and out == ""
     assert "limit" in err
+    # the count stops at the limit, so a huge one is neither summed nor printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--m", "20000", "--config", "2,1,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "limit of 32768" in err and "digits" not in err
+    code, out, err = run(capsys, "search", "--m", "20", "--config", "2,3,3", "--sums", "3")
+    assert code == 2 and out == ""
+    assert "limit of 131072 bits" in err
+
+
+def test_search_sums_range_is_checked_before_expanding(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--m", "7", "--config", "2,2,1", "--sums", "0..1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "sums outside 0..7: '0..1000000000'" in err
 
 
 def test_search_deep_stack_is_usage_error(capsys):
@@ -246,6 +289,37 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on line(s) {lines}"
+
+
+# exported for tests only: the references their checks compare against
+EXPORTS_WITHOUT_CALLERS = (
+    ("block_support_count", "the per-split count the split-search brute-force tests compare against"),
+    ("write_design", "the design text writer the round-trip and verify-design tests use"),
+)
+
+
+def test_every_export_has_a_caller():
+    # a public name stays only while the package, the benchmark or the
+    # acceptance criteria use it
+    root = Path(__file__).resolve().parents[1]
+    pkg = root / "src" / "xfc"
+    init = ast.parse((pkg / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    users = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    users += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    kept = {name for name, _ in EXPORTS_WITHOUT_CALLERS}
+    assert exported - used - kept == set()
+    assert kept <= exported and not kept & used  # every exception is still needed
 
 
 def test_audit_subcommand(capsys):

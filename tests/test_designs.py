@@ -8,7 +8,6 @@ import pytest
 from xfc.designs import (
     Design,
     DesignFormatError,
-    complement_blocks,
     divisibility_check,
     lambda_fold,
     read_design,
@@ -64,14 +63,6 @@ def test_divisibility_examples():
         assert divisibility_check(2, 3, 6, m).ok
 
 
-def test_divisibility_strict_range_drops_index_zero():
-    # m = 5: the i=1 condition 2 | 4 holds but i=0 fails (3 does not divide 10)
-    full = divisibility_check(2, 3, 1, 5)
-    strict = divisibility_check(2, 3, 1, 5, strict_range=True)
-    assert not full.ok and full.indices == (0, 1)
-    assert strict.ok and strict.indices == (1,)
-
-
 def test_divisibility_matches_residue_classes():
     for m in range(3, 101):
         expected = m % 6 in (1, 3)
@@ -110,14 +101,6 @@ def test_lambda_fold():
     assert verify_design(f.blocks, 7, 3, 2, 2).ok
     assert lambda_fold(d, 1).blocks == d.blocks
     assert lambda_fold(sts(9), 3).nblocks == 36
-
-
-def test_complement_blocks():
-    d = sts(7)
-    c = complement_blocks(d)
-    assert c.k == 4
-    assert verify_design(c.blocks, 7, 4, 2, 2).ok  # complement index is 2 here
-    assert complement_blocks(c).blocks == d.blocks  # involution, order kept
 
 
 def test_block_count_identity():

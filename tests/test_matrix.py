@@ -22,7 +22,6 @@ from xfc.matrix import (
     max_block_multiplicity,
     read_matrix,
     rows_of,
-    support_count_total,
 )
 
 
@@ -126,17 +125,6 @@ def test_concat_row_mismatch():
         kms(3, 1).concat(kms(4, 1))
 
 
-def test_restrict_rows():
-    A = kms(3, 1)
-    R = A.restrict_rows({1, 2})
-    assert sorted(R.column_sets()) == [(), (1,), (2,)]
-    assert A.restrict_rows(range(1, 4)).cols == A.cols
-    ones = BinMatrix(6, ((1 << 6) - 1,))
-    assert ones.restrict_rows({2, 4, 5}).cols == (0b111,)
-    with pytest.raises(ValueError):
-        A.restrict_rows({1, 7})
-
-
 def test_column_profile():
     A = kms(7, 2).concat(fano_matrix())
     p = A.column_profile(2)
@@ -197,7 +185,8 @@ def test_max_block_multiplicity_design_and_empty():
         max_block_multiplicity(BinMatrix(3, ()), 2, 2)
 
 
-def test_support_count_total_identity():
+def test_block_support_counts_sum_to_closed_form():
+    # a column of sum s supports C(s, t) * C(m - s, ell) of the (t, ell) splits
     rng = random.Random(11)
     for _ in range(25):
         m = rng.randint(1, 6)
@@ -209,7 +198,6 @@ def test_support_count_total_identity():
             for T in combinations(range(1, m + 1), t)
             for L in combinations([r for r in range(1, m + 1) if r not in T], ell)
         )
-        assert total == support_count_total(A, t, ell)
         assert total == sum(
             comb(c.bit_count(), t) * comb(m - c.bit_count(), ell) for c in A.cols
         )

@@ -1,4 +1,5 @@
-"""Property tests of the matrix and design text formats and the CLI's input errors."""
+"""Property tests of the matrix and design text formats and the CLI's input errors,
+in files and in arguments."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -148,3 +149,119 @@ def test_cli_malformed_design_is_usage_error(capsys, tmp_path, case):
     assert code == 2 and out.out == ""
     assert f"line {line}" in out.err
     assert "Traceback" not in out.err
+
+
+# tokens int() rejects; none holds a comma or "..", so each stays one field
+JUNK = st.sampled_from(("x", "", " ", "2a", "1.5", "0x1", "+-1", "1e3"))
+
+
+# usage_error drains the captured output, so the fixtures are safe to share
+cli_args = settings(deterministic, max_examples=60,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def usage_error(capsys, argv, bad):
+    """The CLI refuses argv with exit 2, no stdout and no traceback, and
+    names the bad value on stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's own refusals
+        code = e.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert bad in out.err
+    assert "Traceback" not in out.err
+
+
+@st.composite
+def bad_configs(draw):
+    """A q,t,l text with one defect: the field count, a non-integer or a
+    negative field.  Every message quotes the whole text."""
+    fields = draw(st.lists(st.integers(0, 9).map(str), min_size=3, max_size=3))
+    kind = draw(st.sampled_from(("count", "junk", "negative")))
+    if kind == "count":
+        fields = fields[:draw(st.integers(1, 2))] if draw(st.booleans()) else fields + ["1"]
+    else:
+        bad = draw(JUNK) if kind == "junk" else str(draw(st.integers(-99, -1)))
+        fields[draw(st.integers(0, 2))] = bad
+    return ",".join(fields)
+
+
+def with_bad_part(draw, good, bad_part):
+    parts = draw(st.lists(good, max_size=3))
+    parts.insert(draw(st.integers(0, len(parts))), bad_part)
+    return ",".join(parts)
+
+
+@st.composite
+def bad_sums(draw):
+    """A --sums text for m = 7 with one bad part, and the text that names it."""
+    if draw(st.booleans()):
+        junk = draw(JUNK)
+        part = junk if draw(st.booleans()) else f"{draw(st.integers(0, 7))}..{junk}"
+        return with_bad_part(draw, st.integers(0, 7).map(str), part), repr(junk)
+    # out of range, however far: both ends are checked before a range is expanded
+    far = draw(st.integers(-10**9, -1) | st.integers(8, 10**9))
+    near = draw(st.integers(0, 7))
+    part = draw(st.sampled_from((f"{far}", f"{far}..{near}", f"{near}..{far}")))
+    text = with_bad_part(draw, st.integers(0, 7).map(str), part)
+    return text, text
+
+
+@st.composite
+def bad_row_counts(draw):
+    """An --m value that no search or audit accepts, and the text that names it."""
+    if draw(st.booleans()):
+        junk = draw(JUNK)
+        return junk, repr(junk)
+    m = str(draw(st.integers(-10**6, 0)))
+    return m, m
+
+
+@st.composite
+def bad_rows(draw):
+    """A --rows text for a 7-row matrix with one bad row, and the text that names it."""
+    if draw(st.booleans()):
+        part = draw(JUNK)
+        bad = repr(part)
+    else:
+        part = bad = str(draw(st.integers(-10**6, 0) | st.integers(8, 10**6)))
+    return with_bad_part(draw, st.integers(1, 7).map(str), part), bad
+
+
+@cli_args
+@given(bad_configs())
+def test_cli_malformed_config_is_usage_error(capsys, text):
+    usage_error(capsys, ["search", "--m", "7", f"--config={text}"], text)
+
+
+@cli_args
+@given(bad_sums())
+def test_cli_malformed_sums_is_usage_error(capsys, case):
+    text, bad = case
+    usage_error(capsys, ["search", "--m", "7", "--config", "2,2,1", f"--sums={text}"], bad)
+
+
+@cli_args
+@given(bad_row_counts(), st.booleans())
+def test_cli_malformed_m_is_usage_error(capsys, case, audit):
+    value, bad = case
+    if audit:  # a list of row counts, each of which needs a triple system
+        usage_error(capsys, ["audit", f"--m={value}"], bad)
+    else:
+        usage_error(capsys, ["search", f"--m={value}", "--config", "2,2,1"], bad)
+
+
+@pytest.fixture(scope="module")
+def seven_rows(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rows") / "a.mat"
+    path.write_text(BinMatrix(7, tuple(range(0, 128, 3))).to_text())
+    return path
+
+
+@cli_args
+@given(bad_rows())
+def test_cli_malformed_rows_is_usage_error(capsys, seven_rows, case):
+    text, bad = case
+    usage_error(capsys, ["analyze", "--matrix", str(seven_rows), "--t", "2", "--l", "1",
+                         "--lambda", "1", f"--rows={text}"], bad)
