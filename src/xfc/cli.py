@@ -14,29 +14,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import bounds as bounds_mod
-from .analysis import lemma_audit
-from .constructions import (
-    complete_layer,
-    exceeder_construction,
-    genl_equality_construction,
-    layer_range,
-    q10_construction,
-    small_m_pigeonhole_witness,
-    split_1100_construction,
-)
-from .designs import DesignFormatError, lambda_fold, read_design, sts, verify_design
-from .matrix import (
-    BinMatrix,
-    Block,
-    General,
-    MatrixFormatError,
-    contains_config,
-    read_matrix,
-)
-from .search import SearchProblem, exact_max
+# Each subcommand imports the library modules it runs, so a process loads
+# no more of the package than its subcommand needs.
 
 USAGE_ERROR = 2
 NEGATIVE = 1
@@ -48,8 +28,8 @@ class CliError(Exception):
 
 
 def _rational(x) -> dict:
-    f = Fraction(x)
-    return {"numerator": f.numerator, "denominator": f.denominator, "floor": f.numerator // f.denominator}
+    """An int or a Fraction as numerator, denominator and floor."""
+    return {"numerator": x.numerator, "denominator": x.denominator, "floor": x.numerator // x.denominator}
 
 
 def _bound_json(name: str, bv) -> dict:
@@ -63,7 +43,9 @@ def _bound_json(name: str, bv) -> dict:
     }
 
 
-def _read_matrix_file(path: str) -> BinMatrix:
+def _read_matrix_file(path: str):
+    from .matrix import MatrixFormatError, read_matrix
+
     try:
         with open(path) as fh:
             return read_matrix(fh.read())
@@ -73,7 +55,9 @@ def _read_matrix_file(path: str) -> BinMatrix:
         raise CliError(f"{path}: {e}") from None
 
 
-def _parse_block(text: str) -> Block:
+def _parse_block(text: str):
+    from .matrix import Block
+
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError(f"configuration must be 'q,t,l', got {text!r}")
@@ -86,7 +70,7 @@ def _parse_block(text: str) -> Block:
 
 def _parse_sums(text: str, m: int) -> frozenset[int]:
     """Comma-separated sums and lo..hi ranges; both ends of a range are
-    checked before it is expanded."""
+    checked, and a reversed range refused, before it is expanded."""
     out: set[int] = set()
     for part in text.split(","):
         lo, dots, hi = part.partition("..")
@@ -94,6 +78,8 @@ def _parse_sums(text: str, m: int) -> frozenset[int]:
         hi = int(hi) if dots else lo
         if not (0 <= lo <= m and 0 <= hi <= m):
             raise CliError(f"sums outside 0..{m}: {text!r}")
+        if lo > hi:
+            raise CliError(f"sums range {part!r} is reversed")
         out.update(range(lo, hi + 1))
     return frozenset(out)
 
@@ -117,6 +103,13 @@ def _require(args, **fields) -> None:
 
 
 def cmd_construct(args) -> int:
+    from . import bounds
+    from .constructions import (exceeder_construction, genl_equality_construction,
+                                q10_construction, small_m_pigeonhole_witness,
+                                split_1100_construction)
+    from .designs import DesignFormatError, lambda_fold, read_design, sts
+    from .matrix import complete_layer, layer_range
+
     kind = args.kind
     claimed = None
     avoided = None
@@ -139,27 +132,27 @@ def cmd_construct(args) -> int:
                 raise CliError("built-in designs cover t=2 only; pass --design for other t")
             d = lambda_fold(sts(args.m), args.lam)
         A = genl_equality_construction(args.t, args.l, args.lam, args.m, d)
-        claimed = bounds_mod.genl_bound(args.t, args.l, args.lam, args.m).exact
+        claimed = bounds.genl_bound(args.t, args.l, args.lam, args.m).exact
         avoided = f"{args.lam + 2},{args.t},{args.l}"
     elif kind == "exceeder":
         _require(args, t=args.t, l=args.l, **{"lambda": args.lam})
         A = exceeder_construction(args.t, args.l, args.lam)
-        claimed = Fraction(A.ncols)
+        claimed = A.ncols
         avoided = f"{args.lam + 2},{args.t},{args.l}"
     elif kind == "q10":
         _require(args, q=args.q, m=args.m)
         A = q10_construction(args.q, args.m)
-        claimed = bounds_mod.q10_lower(args.q, args.m).exact
+        claimed = bounds.q10_lower(args.q, args.m).exact
         avoided = f"{args.q},1,1"
     elif kind == "small-m-witness":
         _require(args, q=args.q)
         A = small_m_pigeonhole_witness(args.q)
-        claimed = bounds_mod.q10_upper(args.q, args.q - 1).exact
+        claimed = bounds.q10_upper(args.q, args.q - 1).exact
         avoided = f"{args.q},1,1"
     else:  # split-1100
         _require(args, m=args.m, a=args.a, b=args.b)
         A = split_1100_construction(args.m, args.a, args.b)
-        claimed = bounds_mod.bound_1100(args.a + args.b, args.m).exact
+        claimed = bounds.bound_1100(args.a + args.b, args.m).exact
         avoided = f"{args.a + args.b + 3},2,2"
     if args.out:  # written first, so a failed write prints nothing
         _write_file(args.out, A.to_text())
@@ -180,6 +173,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_contains(args) -> int:
+    from .matrix import General, contains_config
+
     A = _read_matrix_file(args.matrix)
     if args.config:
         config = _parse_block(args.config)
@@ -200,6 +195,8 @@ def cmd_contains(args) -> int:
 
 
 def cmd_verify_design(args) -> int:
+    from .designs import DesignFormatError, read_design, verify_design
+
     try:
         with open(args.design) as fh:
             d = read_design(fh.read())
@@ -219,24 +216,27 @@ def cmd_verify_design(args) -> int:
     return 0 if check.ok else NEGATIVE
 
 
-# formula -> (function, the flags it takes in argument order)
+# formula -> (function in xfc.bounds, the flags it takes in argument order)
 BOUNDS = {
-    "designconfig": (bounds_mod.designconfig_bound, ("t", "k", "lambda", "m")),
-    "genl": (bounds_mod.genl_bound, ("t", "l", "lambda", "m")),
-    "design-tplus1": (bounds_mod.design_tplus1_bound, ("t", "l", "lambda", "m")),
-    "q10-lower": (bounds_mod.q10_lower, ("q", "m")),
-    "q10-upper": (bounds_mod.q10_upper, ("q", "m")),
-    "bound-1100": (bounds_mod.bound_1100, ("lambda", "m")),
-    "design-1100": (bounds_mod.design_1100_bound, ("lambda", "m")),
-    "turan": (bounds_mod.turan_threshold, ("m", "t", "k")),
-    "exceeder-gap": (bounds_mod.exceeder_gap, ("t", "l", "lambda")),
-    "pigeonhole": (bounds_mod.pigeonhole_terms, ("t", "l", "lambda", "m")),
+    "designconfig": ("designconfig_bound", ("t", "k", "lambda", "m")),
+    "genl": ("genl_bound", ("t", "l", "lambda", "m")),
+    "design-tplus1": ("design_tplus1_bound", ("t", "l", "lambda", "m")),
+    "q10-lower": ("q10_lower", ("q", "m")),
+    "q10-upper": ("q10_upper", ("q", "m")),
+    "bound-1100": ("bound_1100", ("lambda", "m")),
+    "design-1100": ("design_1100_bound", ("lambda", "m")),
+    "turan": ("turan_threshold", ("m", "t", "k")),
+    "exceeder-gap": ("exceeder_gap", ("t", "l", "lambda")),
+    "pigeonhole": ("pigeonhole_terms", ("t", "l", "lambda", "m")),
 }
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
+
     name = args.formula
-    func, flags = BOUNDS[name]
+    func_name, flags = BOUNDS[name]
+    func = getattr(bounds, func_name)
     values = {f: getattr(args, "lam" if f == "lambda" else f) for f in flags}
     _require(args, **values)
     if name == "pigeonhole":
@@ -283,6 +283,8 @@ def _report_json(report, include_witness: bool) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import lemma_audit
+
     A = _read_matrix_file(args.matrix)
     rows = _parse_rows(args.rows) if args.rows is not None else None
     report = lemma_audit(A, args.t, args.l, args.lam, rows_r=rows)
@@ -291,6 +293,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import SearchProblem, exact_max
+
     config = _parse_block(args.config)
     sums = _parse_sums(args.sums, args.m) if args.sums else None
     budget = args.budget_nodes
@@ -312,6 +316,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .analysis import lemma_audit
+    from .constructions import genl_equality_construction
+    from .designs import lambda_fold, sts
+    from .matrix import BinMatrix
+
     ms = [int(p) for p in args.m.split(",")]
     t, ell, lam = args.t, args.l, args.lam
     if t != 2:

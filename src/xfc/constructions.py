@@ -9,29 +9,14 @@ parameters.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
 from .designs import Design, lambda_fold, sts, verify_design
-from .matrix import BinMatrix, Block, contains_config, mask_of
+from .matrix import BinMatrix, Block, complete_layer, contains_config, layer_range, mask_of
 
 
 class ConstructionError(ValueError):
     """A construction's own size/avoidance claim failed for the requested
     parameters."""
-
-
-def complete_layer(m: int, s: int) -> BinMatrix:
-    """All C(m, s) distinct columns of sum s, in lexicographic order of
-    their 1-position sets."""
-    if not 0 <= s <= m:
-        raise ValueError(f"sum {s} outside 0..{m}")
-    return BinMatrix(m, tuple(mask_of(c) for c in combinations(range(1, m + 1), s)))
-
-
-def layer_range(m: int, sums) -> BinMatrix:
-    """Concatenation of complete layers over the given sums, ascending."""
-    return BinMatrix(m, tuple(c for s in sorted(set(sums)) for c in complete_layer(m, s).cols))
 
 
 def _check_avoids(A: BinMatrix, forbidden: Block, what: str) -> None:

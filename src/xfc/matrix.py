@@ -1,4 +1,4 @@
-"""Core (0,1)-matrix values and configuration containment.
+"""Core (0,1)-matrix values, complete layers and configuration containment.
 
 A matrix is an ordered multiset of columns over rows 1..m.  Each column is
 stored as a packed bitmask (bit i-1 set <=> the column has a 1 in row i).
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 
 class MatrixFormatError(ValueError):
@@ -120,6 +121,19 @@ class ColumnProfile:
     a_t1: int
     a_higher: int
     histogram: tuple[int, ...]
+
+
+def complete_layer(m: int, s: int) -> BinMatrix:
+    """All C(m, s) distinct columns of sum s, in lexicographic order of
+    their 1-position sets."""
+    if not 0 <= s <= m:
+        raise ValueError(f"sum {s} outside 0..{m}")
+    return BinMatrix(m, tuple(mask_of(c) for c in combinations(range(1, m + 1), s)))
+
+
+def layer_range(m: int, sums) -> BinMatrix:
+    """Concatenation of complete layers over the given sums, ascending."""
+    return BinMatrix(m, tuple(c for s in sorted(set(sums)) for c in complete_layer(m, s).cols))
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb
 
-from .constructions import layer_range
-from .matrix import BinMatrix, Block, Configuration, General, contains_config
+from .matrix import BinMatrix, Block, Configuration, General, contains_config, layer_range
 
 POLICIES = ("simple", "free", "paper")
 
@@ -191,9 +190,6 @@ class _Kernel:
         self.full = (1 << m) - 1
         self.tsteps = [tuple(zwidth * comb(r, j) for j in range(t, 0, -1)) for r in range(m)]
         self.zsteps = [tuple(comb(r, j) for j in range(ell, 0, -1)) for r in range(m)]
-        # levels[k]: splits hit by at least k chosen columns; levels[cap] is
-        # the saturated set, which is every split when cap is 0
-        self.root_levels = ((1 << width) - 1,) + (0,) * self.cap
         unrep = p.unrepeatable_sums()
         weight = {s: comb(s, t) * comb(m - s, ell) for s in p.allowed_sums()}  # splits hit
         for s, w in weight.items():
@@ -222,6 +218,11 @@ class _Kernel:
         if depth * (cfg.q * (width // 8 + 36) + 8 * len(cols) + 56) > MAX_STACK_BYTES:
             raise ValueError(f"a {depth}-deep stack of {cfg.q} masks per frame exceeds "
                              f"the search limit of {MAX_STACK_BYTES} bytes")
+        # levels[k]: splits hit by at least k chosen columns; levels[cap] is
+        # the saturated set, which is every split when cap is 0.  Built after
+        # the guard, and only when a column can meet the pattern: with none,
+        # the depth is 0 whatever q is and no level is ever read.
+        self.root_levels = ((1 << width) - 1,) + (0,) * self.cap if cols else ()
 
     def knapsack(self, counts: list[int], budget: int) -> int:
         """Most columns whose weights fit in budget, counts[k] of them of

@@ -1,12 +1,18 @@
 """CLI dispatch, formats, and exit codes."""
 
 import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import xfc
 import xfc.search
 from xfc.cli import BOUNDS, main
 from xfc.designs import sts, write_design
@@ -266,6 +272,38 @@ def test_search_deep_stack_is_usage_error(capsys):
     assert "89982-deep stack" in err and "limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--m", "7", "--config", "2,2,1", "--sums", "5..3"),
+    ("construct", "layers", "--m", "7", "--sums", "1,5..3"),
+])
+def test_reversed_sums_range_is_usage_error(capsys, argv):
+    # read as the empty set, it made search report optimum 0 as proven
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "sums range '5..3' is reversed" in err
+
+
+def test_level_masks_are_built_only_past_the_stack_guard(capsys):
+    # q level masks at the root: 10^7 of them would take about 80 MB
+    tracemalloc.start()
+    try:
+        refused = run(capsys, "search", "--m", "3", "--config", "10000000,1,0",
+                      "--policy", "free", "--sums", "1")
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # every column free: depth 0 whatever q is, and no level is read
+        solved = run(capsys, "search", "--m", "3", "--config", "10000000,1,0", "--sums", "0")
+        solved_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    code, out, err = refused
+    assert code == 2 and out == "" and "deep stack" in err
+    assert refused_peak < 10 * 2**20
+    code, out, _ = solved
+    assert code == 0 and json.loads(out)["optimum"] == 1
+    assert solved_peak < 10 * 2**20
+
+
 def test_contains_without_zeros_rows_is_fast(capsys, tmp_path):
     mat = tmp_path / "ones.mat"
     mat.write_text("1500 1\n" + "1\n" * 1500)
@@ -303,9 +341,8 @@ def test_every_export_has_a_caller():
     # acceptance criteria use it
     root = Path(__file__).resolve().parents[1]
     pkg = root / "src" / "xfc"
-    init = ast.parse((pkg / "__init__.py").read_text())
-    exported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
-                for a in node.names}
+    exported = set(xfc._EXPORTS)
+    assert len(exported) == 48
     users = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
     users += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
     used = set()
@@ -317,9 +354,59 @@ def test_every_export_has_a_caller():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # cli.BOUNDS names its functions as strings
     kept = {name for name, _ in EXPORTS_WITHOUT_CALLERS}
     assert exported - used - kept == set()
     assert kept <= exported and not kept & used  # every exception is still needed
+
+
+def test_exports_resolve_to_the_modules_named():
+    for name, module in xfc._EXPORTS.items():
+        defining = importlib.import_module(f"xfc.{module}")
+        value = getattr(xfc, name)
+        assert value is getattr(defining, name)
+        if name != "Configuration":  # a union alias carries no module of its own
+            assert value.__module__ == defining.__name__, name
+    assert sorted(xfc.__all__) == sorted(xfc._EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        xfc.no_such_name
+
+
+# subcommand -> (its arguments, the xfc modules besides xfc and xfc.cli
+# that running it loads)
+SUBCOMMAND_MODULES = {
+    "contains": (["contains", "--config", "2,1,0", "--matrix", "{A}"], {"matrix"}),
+    "bounds": (["bounds", "genl", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7"], {"bounds"}),
+    "search": (["search", "--m", "5", "--config", "2,1,1"], {"matrix", "search"}),
+    "construct": (["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7"],
+                  {"bounds", "constructions", "designs", "matrix"}),
+    "analyze": (["analyze", "--matrix", "{A}", "--t", "1", "--l", "1", "--lambda", "1"],
+                {"analysis", "bounds", "matrix"}),
+}
+
+
+def _loaded_xfc_modules(code: str) -> set[str]:
+    """The xfc modules in sys.modules after a fresh interpreter runs code."""
+    script = f"import sys\n{code}\nprint(*(m for m in sys.modules if m.split('.')[0] == 'xfc'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(xfc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_each_subcommand_imports_only_its_modules(command, tmp_path):
+    matrix = tmp_path / "A.mat"
+    matrix.write_text("3 2\n10\n01\n11\n")
+    args, modules = SUBCOMMAND_MODULES[command]
+    argv = [a.format(A=matrix) for a in args]
+    loaded = _loaded_xfc_modules(f"from xfc.cli import main\nif main({argv!r}) > 1: sys.exit(1)")
+    assert loaded == {"xfc", "xfc.cli"} | {f"xfc.{m}" for m in modules}
+
+
+def test_search_module_does_not_load_the_constructions():
+    assert _loaded_xfc_modules("import xfc.search") == {"xfc", "xfc.matrix", "xfc.search"}
 
 
 def test_audit_subcommand(capsys):
