@@ -83,11 +83,12 @@ def pigeonhole_terms(t: int, ell: int, lam: int, m: int, profile) -> PigeonholeC
     if m < t + ell:
         raise ValueError("need m >= t + ell")
     a_t, a_t1, a_higher = profile
-    lhs = (
-        comb(t, t) * comb(m - t, ell) * a_t
-        + comb(t + 1, t) * comb(m - t - 1, ell) * a_t1
-        + comb(t + 2, t) * comb(m - t - 2, ell) * a_higher
-    )
+
+    def supports(s: int) -> int:
+        """Supports of one sum-s column; none when no such column exists."""
+        return comb(s, t) * comb(m - s, ell) if s <= m else 0
+
+    lhs = supports(t) * a_t + supports(t + 1) * a_t1 + supports(t + 2) * a_higher
     rhs = comb(m, t + ell) * comb(t + ell, ell) * (lam + 1)
     return PigeonholeCheck(lhs, rhs)
 

@@ -128,7 +128,7 @@ def complete_layer(m: int, s: int) -> BinMatrix:
     their 1-position sets."""
     if not 0 <= s <= m:
         raise ValueError(f"sum {s} outside 0..{m}")
-    return BinMatrix(m, tuple(mask_of(c) for c in combinations(range(1, m + 1), s)))
+    return BinMatrix(m, tuple(map(sum, combinations([1 << r for r in range(m)], s))))
 
 
 def layer_range(m: int, sums) -> BinMatrix:
@@ -305,11 +305,18 @@ def _contains_general(P: BinMatrix, A: BinMatrix) -> bool:
         psig = [s | (fc >> i & 1) << j for i, s in enumerate(psig)]
         need.append(Counter(psig).items())
 
+    # run[j]: pattern columns from j on equal to column j.  Equal columns take
+    # A's columns in ascending order, so column j leaves room for run[j] - 1.
+    run = [1] * k
+    for j in range(k - 2, -1, -1):
+        if fcols[j] == fcols[j + 1]:
+            run[j] = run[j + 1] + 1
+
     asig = [[0] * A.m] + [None] * k  # asig[j]: A's row signatures over the first j assigned
     nxt = [0] * k  # nxt[j]: next column of A to try for pattern column j, so the chosen one + 1
     j = 0
     while j >= 0:
-        for idx in range(nxt[j], A.ncols):
+        for idx in range(nxt[j], A.ncols - run[j] + 1):
             if used[idx] or asum[idx] < fsum[j] or A.m - asum[idx] < P.m - fsum[j]:
                 continue
             c = A.cols[idx]

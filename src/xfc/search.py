@@ -8,16 +8,22 @@ t-ones/ell-zeros column iff every split (T, Z), disjoint row sets of
 sizes t and ell, is hit (ones on T, zeros on Z) by at most q-1 of its
 columns.  The search keeps, for each k up to q-1, the bitmask of splits
 hit at least k times, so feasibility of a candidate is one AND of its
-split mask (all built when a DFS is needed) with the saturated set.
+split mask (streamed to the greedy incumbent, kept only when a DFS runs)
+with the saturated set.
 
 With rows 0..m-1 and the colex rank sum_j C(r_j, j) of a subset
 {r_1 < ... < r_k}, split (T, Z) is bit W*rank(T) + rank(Z), W = C(m, ell).
 Column c's mask is the product Z(~c) * T(c) of two subset selectors:
 Z(S), the sum of 2**rank(Z) over the ell-subsets Z of S, is below 2**W,
 and T(c) is the sum of 2**(W*rank(T)) over the t-subsets T of c, so the
-terms fill disjoint W-bit slots and the product has no carries.  One
-ascending pass over the rows builds either selector: E_k(S + r) =
-E_k(S) | E_{k-1}(S) << stride*C(r, k).  Masks are C(m, t) * C(m, ell)
+terms fill disjoint W-bit slots and the product has no carries.  Adding a
+row r above every row of S extends a selector by E_k(S + r) =
+E_k(S) | E_{k-1}(S) << stride*C(r, k).  The masks of one column sum come
+from one walk: a depth-first search over rows 0..m-1 that takes each row
+as a one before it takes it as a zero, so its leaves are the columns of
+that sum in candidate order.  It extends T through the rows it takes and
+Z through the rows it skips, and a column reuses the steps of the prefix
+it shares with the column before it.  Masks are C(m, t) * C(m, ell)
 bits wide since each slot has room for the ell-sets meeting T, whose bits
 are never set; the bound counts only the C(m, t) * C(m-t, ell) real
 splits.
@@ -73,7 +79,9 @@ sets visited, not the 2^n subsets of the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from math import comb
+from operator import lshift, or_
 
 from .matrix import BinMatrix, Block, Configuration, General, contains_config, layer_range
 
@@ -160,15 +168,30 @@ def _candidates(p: SearchProblem, limit: int, what: str) -> tuple[int, ...]:
     return layer_range(p.m, p.allowed_sums()).cols
 
 
-def _selector(rows: int, steps: list[tuple[int, ...]]) -> int:
-    """Sum of 2**(stride * rank(K)) over the k-subsets K of rows, where
-    steps[r][i] is stride * C(r, k - i)."""
-    e = [0] * len(steps[0]) + [1]  # e[i]: the same sum over (k - i)-subsets
-    for r, shifts in enumerate(steps):
-        if rows >> r & 1:
-            for i, shift in enumerate(shifts):
-                e[i] |= e[i + 1] << shift
-    return e[0]
+def _split_masks(m: int, t: int, ell: int, s: int):
+    """Split masks of the sum-s columns on m rows, in candidate order, by
+    the walk of the module docstring.  Entry i of a selector state sums over
+    the (k - i)-subsets, k = t or ell.  With ell = 0 the rows after the last
+    one change nothing, so they are not walked."""
+    zwidth = comb(m, ell)
+    tsteps = [tuple(zwidth * comb(r, j) for j in range(t, 0, -1)) for r in range(m)]
+    zsteps = [tuple(comb(r, j) for j in range(ell, 0, -1)) for r in range(m)]
+    # (row, ones so far, T state, Z state, whether the row is taken as a one)
+    stack = [(0, 0, (0,) * t + (1,), (0,) * ell + (1,), s > 0)]
+    push = stack.append
+    while stack:
+        r, k, ts, zs, one = stack.pop()
+        while r < m and (ell or k < s):
+            if one:
+                if r - k < m - s:  # row r may be a zero too: come back for it
+                    push((r, k, ts, zs, False))
+                ts = tuple(map(or_, ts, map(lshift, ts[1:], tsteps[r]))) + (1,)
+                k += 1
+            else:
+                zs = tuple(map(or_, zs, map(lshift, zs[1:], zsteps[r]))) + (1,)
+            r += 1
+            one = k < s
+        yield zs[0] * ts[0]
 
 
 class _Kernel:
@@ -188,13 +211,13 @@ class _Kernel:
         self.cap = cfg.q - 1
         self.nsplits = comb(m, t) * comb(max(m - t, 0), ell)
         self.full = (1 << m) - 1
-        self.tsteps = [tuple(zwidth * comb(r, j) for j in range(t, 0, -1)) for r in range(m)]
-        self.zsteps = [tuple(comb(r, j) for j in range(ell, 0, -1)) for r in range(m)]
         unrep = p.unrepeatable_sums()
         weight = {s: comb(s, t) * comb(m - s, ell) for s in p.allowed_sums()}  # splits hit
         for s, w in weight.items():
             if not w and s not in unrep:
                 raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
+        # cols holds whole layers: one mask walk per sum that hits a split
+        self.layers = [(m, t, ell, s) for s, w in weight.items() if w]
         candidates = _candidates(p, MAX_CANDIDATES, "search")
         # columns that hit no split are always addable, once each
         self.free_cols = [c for c in candidates if not weight[c.bit_count()]]
@@ -235,15 +258,14 @@ class _Kernel:
             total += c
         return total
 
-    def mask(self, c: int) -> int:
-        """Split mask of column c: one carry-free product of its selectors."""
-        return _selector(self.full & ~c, self.zsteps) * _selector(c, self.tsteps)
+    def masks(self):
+        """Split masks of cols, in order, as a stream."""
+        return chain.from_iterable(_split_masks(*layer) for layer in self.layers)
 
     def greedy(self) -> list[int]:
         """First-fit incumbent in candidate order."""
         levels, sol = self.root_levels, []
-        for i, c in enumerate(self.cols):
-            hm = self.mask(c)
+        for i, hm in enumerate(self.masks()):
             while not hm & levels[-1]:
                 levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
                 sol.append(i)
@@ -261,7 +283,7 @@ class _Kernel:
             return None, 1, False
         cols, runstart, cap, full = self.cols, self.runstart, self.cap, self.full
         wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
-        masks = [self.mask(c) for c in cols]
+        masks = list(self.masks())
         nclasses = len(self.class_weights)
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False

@@ -59,6 +59,9 @@ def test_pigeonhole_terms():
     assert pigeonhole_terms(2, 1, 1, 7, (0, 0, 0)).holds
     bad = pigeonhole_terms(2, 1, 1, 7, (21, 10, 0))
     assert bad.lhs == 225 and not bad.holds
+    # classes that need more rows than m weigh nothing, also with ell = 0 at m = t
+    assert pigeonhole_terms(2, 1, 1, 3, (1, 1, 5)).lhs == 1
+    assert pigeonhole_terms(2, 0, 1, 2, (1, 4, 4)).lhs == 1
 
 
 def test_q10_bounds():

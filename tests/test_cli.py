@@ -165,6 +165,28 @@ def test_bounds_pigeonhole(capsys):
     assert (payload["lhs"], payload["rhs"], payload["holds"]) == (189, 210, True)
 
 
+def test_pigeonhole_counts_no_support_for_columns_that_cannot_exist(capsys, tmp_path):
+    # at m = 3 no column has sum t + 2 = 4, so a_higher weighs nothing
+    code, out, _ = run(capsys, "bounds", "pigeonhole", "--t", "2", "--l", "1",
+                       "--lambda", "1", "--m", "3", "--profile", "1,1,0")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lhs"], payload["rhs"], payload["holds"]) == (1, 6, True)
+    # the audit of a 3-row matrix reaches the same term
+    mat = tmp_path / "empty.mat"
+    mat.write_text("3 0\n\n\n\n")
+    code, out, _ = run(capsys, "analyze", "--matrix", str(mat), "--t", "2", "--l", "1",
+                       "--lambda", "1")
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+    mat.write_text("3 3\n110\n101\n011\n")
+    code, out, _ = run(capsys, "analyze", "--matrix", str(mat), "--t", "2", "--l", "1",
+                       "--lambda", "1")
+    names = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    # sum-2 columns have one zero, below lambda + ell: a verdict, not a usage error
+    assert code == 1 and names["support_pigeonhole"] and not names["zero_count_floor"]
+
+
 def test_analyze_reports_json(capsys, tmp_path):
     mat = tmp_path / "a.mat"
     run(capsys, "construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1",

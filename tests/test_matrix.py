@@ -384,3 +384,24 @@ def test_general_containment_matches_brute_force():
         A = random_matrix(rng, rng.randint(pm, 5), max_cols=8)
         assert contains_config(General(P), A) == brute_contains(P, A), (P.cols, A.m, A.cols)
         checked += 1
+
+
+def test_general_containment_cuts_runs_of_equal_columns():
+    # P: one row of n ones and a zero; A: n columns 1 over 0 and one 1 over
+    # 1.  No row of A holds n ones and a zero; a run of equal pattern
+    # columns placed without regard to the A columns left walks about 2^n
+    # partial assignments
+    n = 40
+    P = BinMatrix(1, (1,) * n + (0,))
+    A = BinMatrix(2, (1,) * n + (3,))
+    start = time.perf_counter()
+    assert not contains_config(General(P), A)
+    assert time.perf_counter() - start < 1.0
+    # long runs of two distinct columns, against brute force
+    rng = random.Random(43)
+    for _ in range(300):
+        pm = rng.randint(1, 2)
+        a, b = rng.sample(range(1 << pm), 2)
+        P = BinMatrix(pm, tuple(rng.choice((a, a, b)) for _ in range(rng.randint(3, 6))))
+        A = random_matrix(rng, rng.randint(pm, 4), max_cols=8)
+        assert contains_config(General(P), A) == brute_contains(P, A), (P.cols, A.m, A.cols)

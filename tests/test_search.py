@@ -1,5 +1,7 @@
 """Branch-and-bound search, the exhaustive oracle, witness checks."""
 
+import hashlib
+import time
 from itertools import combinations
 from math import comb
 
@@ -15,6 +17,7 @@ from xfc.search import (
     POLICIES,
     SearchProblem,
     _Kernel,
+    _split_masks,
     exact_max,
     exhaustive_oracle,
     verify_witness,
@@ -253,7 +256,8 @@ def test_kernel_candidate_order():
 
 
 def test_split_mask_matches_enumeration():
-    # every column of every m <= 7: the product mask is the OR of the
+    # every sum-s column of every m <= 7 and every t, ell, masks of 0
+    # included: the walk yields, in candidate order, the OR of the
     # brute-force splits, ranked by position in colex order
     for m in range(1, 8):
         rank = {}
@@ -261,19 +265,20 @@ def test_split_mask_matches_enumeration():
             for i, sub in enumerate(sorted(combinations(range(m), k), key=lambda s: s[::-1])):
                 rank[sub] = i
         for t in range(m + 1):
-            for ell in range(m - t + 1):
-                kernel = _Kernel(SearchProblem(m, Block(1, t, ell)))
+            for ell in range(m + 1):
                 width = comb(m, ell)
-                for c in range(1 << m):
-                    ones = [r for r in range(m) if c >> r & 1]
-                    zeros = [r for r in range(m) if not c >> r & 1]
-                    want = 0
-                    for T in combinations(ones, t):
-                        for Z in combinations(zeros, ell):
-                            want |= 1 << (width * rank[T] + rank[Z])
-                    got = kernel.mask(c)
-                    assert got == want, (m, t, ell, c)
-                    assert got.bit_count() == comb(len(ones), t) * comb(len(zeros), ell)
+                for s in range(m + 1):
+                    layer = list(combinations(range(m), s))
+                    got = list(_split_masks(m, t, ell, s))
+                    assert len(got) == len(layer), (m, t, ell, s)
+                    for ones, mask in zip(layer, got):
+                        zeros = [r for r in range(m) if r not in ones]
+                        want = 0
+                        for T in combinations(ones, t):
+                            for Z in combinations(zeros, ell):
+                                want |= 1 << (width * rank[T] + rank[Z])
+                        assert mask == want, (m, t, ell, ones)
+                        assert mask.bit_count() == comb(s, t) * comb(m - s, ell)
 
 
 def test_greedy_incumbent_sizes():
@@ -296,6 +301,30 @@ def test_search_wide_regime():
         r = exact_max(p)
         assert (r.optimum, r.proof_of_optimality, r.nodes) == (want, True, nodes)
         assert verify_witness(p, r.witness)
+
+
+def test_witnesses_are_pinned():
+    # sha256 of repr(witness.cols), first 16 hex digits: the mask builder
+    # may change how masks are made, never which witness the search returns
+    for m, block, policy, digest, nodes in (
+            (12, Block(2, 2, 2), "simple", "2503534fb55ddd45", 1),
+            (13, Block(2, 2, 1), "simple", "d34b1bc7e30690ef", 1),
+            (13, Block(2, 3, 1), "simple", "01b5934a071e909f", 1),
+            (13, Block(2, 3, 2), "simple", "19495a7a0ad98982", 1),
+            (7, Block(3, 2, 1), "paper", "36f7abd418d38ccb", 633)):
+        r = exact_max(SearchProblem(m, block, policy=policy))
+        got = hashlib.sha256(repr(r.witness.cols).encode()).hexdigest()[:16]
+        assert (got, r.nodes, r.proof_of_optimality) == (digest, nodes, True), (m, block)
+
+
+def test_many_rows_one_sum_is_fast():
+    # 4,000 sum-1 columns: each mask costs two walk steps, not a pass over
+    # all 4,000 rows
+    start = time.perf_counter()
+    r = exact_max(SearchProblem(4000, Block(2, 1, 0), sums=frozenset({1})))
+    elapsed = time.perf_counter() - start
+    assert (r.optimum, r.proof_of_optimality) == (4000, True)
+    assert elapsed < 1.0, elapsed
 
 
 def test_oversized_kernel_is_refused():
