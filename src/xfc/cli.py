@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 # Each subcommand imports the library modules it runs, so a process loads
@@ -52,6 +51,18 @@ def _read_matrix_file(path: str):
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
     except MatrixFormatError as e:
+        raise CliError(f"{path}: {e}") from None
+
+
+def _read_design_file(path: str):
+    from .designs import DesignFormatError, read_design
+
+    try:
+        with open(path) as fh:
+            return read_design(fh.read())
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e}") from None
+    except DesignFormatError as e:
         raise CliError(f"{path}: {e}") from None
 
 
@@ -107,7 +118,7 @@ def cmd_construct(args) -> int:
     from .constructions import (exceeder_construction, genl_equality_construction,
                                 q10_construction, small_m_pigeonhole_witness,
                                 split_1100_construction)
-    from .designs import DesignFormatError, lambda_fold, read_design, sts
+    from .designs import lambda_fold, sts
     from .matrix import complete_layer, layer_range
 
     kind = args.kind
@@ -122,11 +133,7 @@ def cmd_construct(args) -> int:
     elif kind == "genl-equality":
         _require(args, t=args.t, l=args.l, **{"lambda": args.lam}, m=args.m)
         if args.design:
-            try:
-                with open(args.design) as fh:
-                    d = read_design(fh.read())
-            except (OSError, DesignFormatError) as e:
-                raise CliError(f"{args.design}: {e}") from None
+            d = _read_design_file(args.design)
         else:
             if args.t != 2:
                 raise CliError("built-in designs cover t=2 only; pass --design for other t")
@@ -176,14 +183,12 @@ def cmd_contains(args) -> int:
     from .matrix import General, contains_config
 
     A = _read_matrix_file(args.matrix)
-    if args.config:
+    if args.config is not None:
         config = _parse_block(args.config)
         desc = args.config
-    elif args.config_file:
+    else:
         config = General(_read_matrix_file(args.config_file))
         desc = args.config_file
-    else:
-        raise CliError("need --config q,t,l or --config-file")
     found = contains_config(config, A)
     if not args.quiet:
         if args.json:
@@ -195,15 +200,9 @@ def cmd_contains(args) -> int:
 
 
 def cmd_verify_design(args) -> int:
-    from .designs import DesignFormatError, read_design, verify_design
+    from .designs import verify_design
 
-    try:
-        with open(args.design) as fh:
-            d = read_design(fh.read())
-    except OSError as e:
-        raise CliError(f"cannot read {args.design}: {e}") from None
-    except DesignFormatError as e:
-        raise CliError(f"{args.design}: {e}") from None
+    d = _read_design_file(args.design)
     check = verify_design(d.blocks, d.m, d.k, d.t, d.lam)
     verdict = {
         "valid": check.ok,
@@ -297,11 +296,8 @@ def cmd_search(args) -> int:
 
     config = _parse_block(args.config)
     sums = _parse_sums(args.sums, args.m) if args.sums else None
-    budget = args.budget_nodes
-    if budget is None:
-        env = os.environ.get("XFC_BUDGET_NODES")
-        budget = int(env) if env else None
-    problem = SearchProblem(args.m, config, sums=sums, policy=args.policy, node_budget=budget)
+    problem = SearchProblem(args.m, config, sums=sums, policy=args.policy,
+                            node_budget=args.budget_nodes)
     result = exact_max(problem)
     out = {
         "optimum": result.optimum,
@@ -366,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("contains", help="decide configuration containment")
-    p.add_argument("--config", type=str, default=None, help="block pattern as q,t,l")
-    p.add_argument("--config-file", type=str, default=None, help="general pattern matrix file")
+    pattern = p.add_mutually_exclusive_group(required=True)
+    pattern.add_argument("--config", type=str, default=None, help="block pattern as q,t,l")
+    pattern.add_argument("--config-file", type=str, default=None, help="general pattern matrix file")
     p.add_argument("--matrix", type=str, required=True)
     p.add_argument("--quiet", action="store_true", help="no output; exit 1 when not contained")
     p.add_argument("--json", action="store_true")

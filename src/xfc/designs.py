@@ -183,9 +183,9 @@ def sts(m: int) -> Design:
     d = Design(m, 3, 2, 1, tuple(triples))
     check = verify_design(d.blocks, m, 3, 2, 1)
     if not check.ok:
-        raise AssertionError(f"generated triple system failed verification: {check.witness}")
+        raise RuntimeError(f"generated triple system failed verification: {check.witness}")
     if not d.is_simple():
-        raise AssertionError("generated triple system has a repeated block")
+        raise RuntimeError("generated triple system has a repeated block")
     return d
 
 

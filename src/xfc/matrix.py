@@ -2,9 +2,9 @@
 
 A matrix is an ordered multiset of columns over rows 1..m.  Each column is
 stored as a packed bitmask (bit i-1 set <=> the column has a 1 in row i).
-Block containment and maximum multiplicity transpose A once into row sets
-and run one split search over them.  All values are immutable; every
-operation returns fresh objects.
+Containment of blocks and general patterns, and maximum multiplicity, run
+one search over injective maps of the pattern's rows into A's rows.  All
+values are immutable; every operation returns fresh objects.
 """
 
 from __future__ import annotations
@@ -12,6 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+
+# Containment refuses a pattern whose row masks, one per distinct pattern
+# row and row of A, each (distinct columns) x (columns of A) bits wide,
+# would pass 256 MiB in all.
+MAX_ROW_MASK_BITS = 1 << 31
 
 
 class MatrixFormatError(ValueError):
@@ -203,8 +208,8 @@ def max_block_multiplicity(A: BinMatrix, t: int, ell: int) -> tuple[int, RowSpli
     if t + ell > A.m:
         raise ValueError(f"t + ell = {t + ell} exceeds row count {A.m}")
     best = 0, RowSplit(range(1, t + 1), range(t + 1, t + ell + 1))  # when every count is 0
-    for best in _rising_splits(A, t, ell, 1):
-        pass
+    for counts, rows in _row_maps(A, t + ell, {(1 << t) - 1: 1}):
+        best = counts[0], RowSplit(rows[:t], rows[t:])
     return best
 
 
@@ -212,130 +217,99 @@ def contains_config(config: Configuration, A: BinMatrix) -> bool:
     """True iff some submatrix of A is a row and column permutation of the
     configuration.  A pattern wider or taller than A is never contained;
     patterns with zero columns (or zero multiplicity) are contained
-    vacuously."""
+    vacuously.  A block is searched as its one distinct column and never
+    expanded."""
     if isinstance(config, Block):
-        return _contains_block(config.q, config.t, config.ell, A)
-    return _contains_general(config.pattern, A)
-
-
-def _contains_block(q: int, t: int, ell: int, A: BinMatrix) -> bool:
-    """True iff some (t, ell) split has support at least q; the search stops at the first."""
-    if q == 0:
+        k, want = config.nrows, {(1 << config.t) - 1: config.q}
+    else:
+        k, want = config.pattern.m, Counter(config.pattern.cols)
+    total = sum(want.values())
+    if not total:
         return True
-    return t + ell <= A.m and next(_rising_splits(A, t, ell, q), None) is not None
+    return k <= A.m and total <= A.ncols and next(_row_maps(A, k, want), None) is not None
 
 
-def _rising_splits(A: BinMatrix, t: int, ell: int, need: int):
-    """Yield (count, split) for each (t, ell) split, in lexicographic order,
-    whose support is at least ``need`` (>= 1) and above every earlier count.
+def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
+    """Yield (counts, rows) for each injective map of a k-row pattern's rows
+    into A's rows, in lexicographic order, under which every distinct
+    pattern column c (of k rows) has at least want[c] >= 1 matching columns
+    of A, and which beats every count of the yield before it.  counts
+    follows want's order; rows holds the 1-based A rows of the pattern rows
+    sorted descending, each run of equal pattern rows ascending.
 
-    An iterative DFS over the ones-rows, then the zeros-rows, each ascending,
-    carrying the AND of the chosen rows' sets (bit j of ones[r]: column j has
-    a 1 in row r + 1).  A row only shrinks the AND, so a branch whose popcount
-    is below ``need`` is cut; a zeros-row that is a ones-row empties the AND.
-    Every zeros-row of a completion keeps ``need`` of the AND on its zeros,
-    so a ones-branch with fewer than ell such rows is cut too."""
-    # m-digit column strings, last first: row r + 1 is every m-th digit from m-1-r
-    bits = "".join([format(c | 1 << A.m, "b")[1:] for c in reversed(A.cols)])
-    ones = [int("0" + bits[A.m - 1 - r::A.m], 2) for r in range(A.m)]
-    zeros = [((1 << A.ncols) - 1) ^ s for s in ones]
-    k = t + ell
+    An A column matches at most one pattern column, so a row map contains
+    the pattern iff every count reaches want.  Segment j of the mask for a
+    pattern row and A row r (bits j*n.., n = A.ncols) holds the columns of
+    A that agree in row r with distinct column j in that pattern row, so
+    the search is an iterative DFS over the pattern rows carrying the AND
+    of the chosen masks.  A row only shrinks the AND, so a branch whose
+    popcount is below the total wanted is cut, and so is one where some
+    later group of equal pattern rows has fewer A rows keeping that total
+    on their own than it has rows.  A leaf is injective once every count
+    reaches want: two pattern rows differ in some column, whose segment a
+    shared A row empties."""
+    cols, need = list(want), list(want.values())
+    n, nseg = A.ncols, len(cols)
+    # bit j of a pattern row: distinct column j's entry in that row
+    prow = sorted((int("0" + s, 2) for s in _row_strings(k, cols)), reverse=True)
+    distinct = set(prow)
+    if len(distinct) * A.m * nseg * n > MAX_ROW_MASK_BITS:
+        raise ValueError(f"containment row masks exceed the limit of {MAX_ROW_MASK_BITS} bits")
+    reps = [int("0" + s * nseg, 2) for s in _row_strings(A.m, A.cols)]  # a row's ones, per segment
+    masks = {}
+    for v in distinct:  # flip the segments of the columns with a 0 in pattern row v
+        flip = int("0" + "".join("0" * n if v >> j & 1 else "1" * n for j in reversed(range(nseg))), 2)
+        masks[v] = [rep ^ flip for rep in reps]
+    rowmasks = [masks[v] for v in prow]
+    end = [k] * k  # end[d]: one past the last depth of d's group of equal pattern rows
+    for d in range(k - 2, -1, -1):
+        end[d] = end[d + 1] if prow[d] == prow[d + 1] else d + 1
+    starts = [d for d in range(k) if d == 0 or prow[d] != prow[d - 1]]
+    # later[e]: (masks, rows) of each group starting at depth e or after
+    later = {e: [(rowmasks[s], end[s] - s) for s in starts if s >= e] for e in {0, *end}}
+    aheads = [later[e] for e in end]
+    total = sum(need)
 
-    def completes(support: int) -> bool:
-        """At least ell rows keep ``need`` of the support on their zeros."""
-        left = ell
-        for z in zeros:
-            if not left:
-                break
-            if (support & z).bit_count() >= need:
-                left -= 1
-        return not left
+    def keeps(support: int, groups) -> bool:
+        """Each group has as many A rows keeping ``total`` of the support as it has rows."""
+        for group_masks, left in groups:
+            for mk in group_masks:
+                if (support & mk).bit_count() >= total:
+                    left -= 1
+                    if not left:
+                        break
+            else:
+                return False
+        return True
 
-    acc = [(1 << A.ncols) - 1] * (k + 1)  # acc[d]: AND of the sets chosen above depth d
-    row = [0] * (k + 1)  # row[d]: next row index to try at depth d, so the chosen row's number
-    d = 0 if completes(acc[0]) else -1
+    acc = [(1 << nseg * n) - 1] * (k + 1)  # acc[d]: AND of the masks chosen above depth d
+    row = [0] * (k + 1)  # row[d]: next A row to try at depth d, so the chosen row's number
+    d = 0 if keeps(acc[0], later[0]) else -1
     while d >= 0:
         if d < k:
-            sets, end = (ones, t) if d < t else (zeros, k)
-            for r in range(row[d], A.m - end + d + 1):  # leaves rows for depths d+1..end-1
-                support = acc[d] & sets[r]
-                if support.bit_count() >= need and (d >= t or completes(support)):
+            masks_d, ahead = rowmasks[d], aheads[d]
+            for r in range(row[d], A.m - end[d] + d + 1):  # leaves rows for the rest of d's group
+                support = acc[d] & masks_d[r]
+                if support.bit_count() >= total and (not ahead or keeps(support, ahead)):
                     row[d], acc[d + 1] = r + 1, support
                     d += 1
-                    row[d] = 0 if d == t else r + 1
+                    row[d] = 0 if end[d - 1] == d else r + 1  # a new group, or the same
                     break
             else:
                 d -= 1
             continue
-        count = acc[k].bit_count()
-        if count >= need:
-            yield count, RowSplit(row[:t], row[t:k])
-            need = count + 1
+        counts = [(acc[k] >> j * n & (1 << n) - 1).bit_count() for j in range(nseg)]
+        if all(c >= w for c, w in zip(counts, need)):
+            yield counts, row[:k]
+            need = [c + 1 for c in counts]
+            total = sum(need)
         d -= 1
 
 
-def _contains_general(P: BinMatrix, A: BinMatrix) -> bool:
-    """Depth-first assignment of P's columns to distinct columns of A.
-
-    Pruning is by column-sum compatibility plus a row-signature multiset
-    check: P's rows can be injected into A's rows consistently with a
-    partial column assignment iff, for every 0/1 signature over the
-    assigned columns, P has at most as many rows with that signature as A
-    does.  At full depth that check is exact.  A signature is an int, bit i
-    for assigned column i; A's are kept per depth and P's multisets are
-    counted once per depth.  The search is iterative, so the pattern's
-    width is not limited by the call stack.
-    """
-    k = P.ncols
-    if k == 0:
-        return True
-    if P.m == 0:
-        return A.ncols >= k
-    if P.m > A.m or k > A.ncols:
-        return False
-
-    fcols = sorted(P.cols, key=lambda c: (-c.bit_count(), c))
-    fsum = [c.bit_count() for c in fcols]
-    asum = [c.bit_count() for c in A.cols]
-    used = [False] * A.ncols
-    # need[d]: P's row-signature multiset over its first d columns
-    psig = [0] * P.m
-    need = [Counter(psig).items()]
-    for j, fc in enumerate(fcols):
-        psig = [s | (fc >> i & 1) << j for i, s in enumerate(psig)]
-        need.append(Counter(psig).items())
-
-    # run[j]: pattern columns from j on equal to column j.  Equal columns take
-    # A's columns in ascending order, so column j leaves room for run[j] - 1.
-    run = [1] * k
-    for j in range(k - 2, -1, -1):
-        if fcols[j] == fcols[j + 1]:
-            run[j] = run[j + 1] + 1
-
-    asig = [[0] * A.m] + [None] * k  # asig[j]: A's row signatures over the first j assigned
-    nxt = [0] * k  # nxt[j]: next column of A to try for pattern column j, so the chosen one + 1
-    j = 0
-    while j >= 0:
-        for idx in range(nxt[j], A.ncols - run[j] + 1):
-            if used[idx] or asum[idx] < fsum[j] or A.m - asum[idx] < P.m - fsum[j]:
-                continue
-            c = A.cols[idx]
-            sig = [s | (c >> x & 1) << j for x, s in enumerate(asig[j])]
-            have = Counter(sig)
-            if not any(have[s] < n for s, n in need[j + 1]):
-                break
-        else:
-            j -= 1
-            if j >= 0:
-                used[nxt[j] - 1] = False
-            continue
-        used[idx], nxt[j], asig[j + 1] = True, idx + 1, sig
-        j += 1
-        if j == k:
-            return True
-        # equal pattern columns take A's columns in ascending order
-        nxt[j] = idx + 1 if fcols[j] == fcols[j - 1] else 0
-    return False
+def _row_strings(m: int, cols) -> list[str]:
+    """Row r + 1 of m-row columns as a binary string, last column first."""
+    bits = "".join([format(c | 1 << m, "b")[1:] for c in reversed(cols)])  # m digits each
+    return [bits[m - 1 - r::m] for r in range(m)]
 
 
 def read_matrix(text: str) -> BinMatrix:

@@ -72,8 +72,9 @@ The exhaustive oracle below shares none of this machinery.  It is the
 subset search for general patterns: containment only grows when columns
 are added, so a depth-first search that extends only pattern-free sets,
 in candidate order, meets every pattern-free set, and each extension is
-decided by the general pattern backtracker.  Its ``nodes`` count the
-sets visited, not the 2^n subsets of the candidates.
+decided by the row-map search of ``xfc.matrix``, which the witness
+replay runs too.  Its ``nodes`` count the sets visited, not the 2^n
+subsets of the candidates.
 """
 
 from __future__ import annotations
@@ -360,8 +361,8 @@ def exact_max(p: SearchProblem) -> SearchResult:
 
 def _exact_max_general(p: SearchProblem) -> SearchResult:
     """Subset search for general patterns and the exhaustive oracle: extend
-    pattern-free sets in candidate order, testing containment on every
-    extension.  At most 24 candidates."""
+    pattern-free sets in candidate order, testing every extension with
+    contains_config.  At most 24 candidates."""
     if p.policy != "simple":
         raise ValueError("general-pattern search supports only the simple policy")
     if p.config.pattern.ncols == 0:
@@ -399,7 +400,7 @@ def exhaustive_oracle(p: SearchProblem) -> SearchResult:
     The search extends only pattern-free sets, which reaches all of them
     since a superset of a containing set contains the pattern too, and
     ``nodes`` counts the sets it visits.  Containment goes through the
-    general pattern backtracker, not the split-count kernel."""
+    row-map search of contains_config, not the split-count kernel."""
     if p.policy != "simple":
         raise ValueError("the oracle only handles the simple policy")
     pattern = p.config.pattern() if isinstance(p.config, Block) else p.config.pattern

@@ -15,8 +15,8 @@ import pytest
 import xfc
 import xfc.search
 from xfc.cli import BOUNDS, main
-from xfc.designs import sts, write_design
-from xfc.matrix import read_matrix
+from xfc.designs import DesignCheck, sts, write_design
+from xfc.matrix import MAX_ROW_MASK_BITS, BinMatrix, read_matrix
 
 
 def run(capsys, *argv):
@@ -86,7 +86,7 @@ def test_contains_general_pattern_file(capsys, tmp_path):
 
 
 def test_contains_general_pattern_depth_is_not_bounded_by_the_call_stack(capsys, tmp_path):
-    # 1,100 pattern columns, each one more level of the backtracker
+    # 1,100 equal pattern columns on one row, and 1,100 of two rows
     ones = tmp_path / "ones.mat"
     ones.write_text("1 1100\n" + "1" * 1100 + "\n")
     over_zeros = tmp_path / "over-zeros.mat"
@@ -102,6 +102,34 @@ def test_contains_general_pattern_depth_is_not_bounded_by_the_call_stack(capsys,
     assert (code, out, err) == (1, "", "")
 
 
+def test_contains_takes_exactly_one_pattern(capsys, tmp_path):
+    mat = tmp_path / "a.mat"
+    mat.write_text("1 1\n1\n")
+    for flags in ([], ["--config", "1,1,1", "--config-file", str(mat)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["contains", "--matrix", str(mat), *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_contains_refuses_oversized_row_masks(capsys, tmp_path):
+    # every column on 12 rows against 40 x 20,000: the row masks would take
+    # about 5 GB, so the pattern is refused before any is built
+    pat = tmp_path / "cube.mat"
+    pat.write_text(BinMatrix(12, tuple(range(1 << 12))).to_text())
+    mat = tmp_path / "wide.mat"
+    mat.write_text("40 20000\n" + ("01" * 10000 + "\n") * 40)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "contains", "--config-file", str(pat), "--matrix", str(mat))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"limit of {MAX_ROW_MASK_BITS} bits" in err
+    assert peak < 10 * 2**20
+
+
 def test_analyze_rejects_negative_zeros_count(capsys, tmp_path):
     mat = tmp_path / "a.mat"
     run(capsys, "construct", "kms", "--m", "5", "--s", "2", "-o", str(mat))
@@ -109,6 +137,16 @@ def test_analyze_rejects_negative_zeros_count(capsys, tmp_path):
                          "--lambda", "1")
     assert code == 2 and out == ""
     assert "ell=-1" in err and "non-negative integer" not in err
+
+
+def test_missing_design_file_is_named_the_same_by_both_readers(capsys, tmp_path):
+    missing = tmp_path / "missing.des"
+    for argv in (["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1",
+                  "--m", "7", "--design", str(missing)],
+                 ["verify-design", str(missing)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {missing}: "), argv
 
 
 def test_verify_design_exit_codes(capsys, tmp_path):
@@ -211,21 +249,14 @@ def test_search_subcommand(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["optimum"] == 7 and payload["proof_of_optimality"] is True
     assert read_matrix(wit.read_text()).ncols == 7
+    code, out, _ = run(capsys, "search", "--m", "7", "--config", "3,2,1", "--policy", "paper",
+                       "--budget-nodes", "5")
+    assert code == 0 and json.loads(out)["proof_of_optimality"] is False
 
 
-def test_search_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("XFC_BUDGET_NODES", "5")
-    code, out, _ = run(capsys, "search", "--m", "7", "--config", "3,2,1", "--policy", "paper")
-    assert code == 0
-    assert json.loads(out)["proof_of_optimality"] is False
-
-
-def test_search_negative_budget_is_usage_error(capsys, monkeypatch):
+def test_search_negative_budget_is_usage_error(capsys):
     argv = ["search", "--m", "7", "--config", "2,2,1", "--sums", "3", "--policy", "free"]
     code, out, err = run(capsys, *argv, "--budget-nodes", "-1")
-    assert code == 2 and out == "" and "budget" in err
-    monkeypatch.setenv("XFC_BUDGET_NODES", "-1")
-    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "budget" in err
 
 
@@ -349,6 +380,19 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on line(s) {lines}"
+        # nor may a failed self-check raise AssertionError, which the CLI
+        # does not map to an exit code
+        raised = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                  and "AssertionError" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}]
+        assert not raised, f"{path.name}: raise AssertionError on line(s) {raised}"
+
+
+def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr("xfc.designs.verify_design", lambda *args: DesignCheck(False, ((1, 2), 0)))
+    code, out, err = run(capsys, "construct", "genl-equality", "--t", "2", "--l", "1",
+                         "--lambda", "1", "--m", "7")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: generated triple system failed verification")
 
 
 # exported for tests only: the references their checks compare against

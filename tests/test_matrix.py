@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -11,6 +12,7 @@ from conftest import brute_contains
 
 from xfc.constructions import split_1100_construction
 from xfc.matrix import (
+    MAX_ROW_MASK_BITS,
     BinMatrix,
     Block,
     General,
@@ -268,6 +270,33 @@ def test_split_search_cuts_ones_sets_without_zeros_rows():
     assert time.perf_counter() - start < 1.0
 
 
+def test_row_map_search_looks_ahead_at_every_depth():
+    # with the all-zeros column every group of equal pattern rows can start,
+    # but once a ones-row is chosen no row keeps a zero: a search that looked
+    # at the zeros group only after the ones group completed would walk
+    # C(1500, 1200) ones-sets
+    A = BinMatrix(1500, ((1 << 1500) - 1, 0))
+    start = time.perf_counter()
+    assert not contains_config(Block(1, 1200, 300), A)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert max_block_multiplicity(A, 1200, 300)[0] == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_row_masks_are_refused_before_building():
+    P = BinMatrix(12, tuple(range(1 << 12)))
+    A = BinMatrix(40, tuple(range(20000)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limit of {MAX_ROW_MASK_BITS} bits"):
+            contains_config(General(P), A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------- containment
 
 
@@ -373,24 +402,26 @@ def test_general_containment_nontrivial_pattern():
 
 
 def test_general_containment_matches_brute_force():
-    # patterns of at least two distinct columns, so no block shortcut applies
+    # patterns of at least two distinct columns, so more than one segment
     rng = random.Random(41)
-    checked = 0
-    while checked < 400:
-        pm, pn = rng.randint(1, 3), rng.randint(2, 3)
+    checked = equal_rows = 0
+    while checked < 600:
+        pm, pn = rng.randint(1, 4), rng.randint(2, 4)
         P = BinMatrix(pm, tuple(rng.randrange(1 << pm) for _ in range(pn)))
         if len(set(P.cols)) < 2:
             continue
-        A = random_matrix(rng, rng.randint(pm, 5), max_cols=8)
+        A = random_matrix(rng, rng.randint(pm, 6), max_cols=8)
         assert contains_config(General(P), A) == brute_contains(P, A), (P.cols, A.m, A.cols)
         checked += 1
+        rows = [tuple(c >> r & 1 for c in P.cols) for r in range(pm)]
+        equal_rows += len(set(rows)) < pm and len(set(P.cols)) == 2
+    assert equal_rows >= 100  # groups of equal pattern rows are really exercised
 
 
 def test_general_containment_cuts_runs_of_equal_columns():
     # P: one row of n ones and a zero; A: n columns 1 over 0 and one 1 over
-    # 1.  No row of A holds n ones and a zero; a run of equal pattern
-    # columns placed without regard to the A columns left walks about 2^n
-    # partial assignments
+    # 1.  No row of A holds n ones and a zero; a search that placed the n
+    # equal pattern columns one by one would walk about 2^n assignments
     n = 40
     P = BinMatrix(1, (1,) * n + (0,))
     A = BinMatrix(2, (1,) * n + (3,))
