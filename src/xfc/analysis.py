@@ -11,7 +11,7 @@ verdict with a witness instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -25,13 +25,10 @@ def tsets_colex(m: int, t: int):
     return sorted(combinations(range(1, m + 1), t), key=lambda s: tuple(reversed(s)))
 
 
-@dataclass(frozen=True)
-class TsetTable:
-    m: int
-    t: int
-    lam: int
-    mu: dict[tuple[int, ...], int]
-    d: dict[tuple[int, ...], int]
+class TsetTable(namedtuple("TsetTable", "m t lam mu d")):
+    """mu and d map each t-set of [m] to its counts (see tset_table)."""
+
+    __slots__ = ()
 
     def is_typical(self, s) -> bool:
         s = tuple(sorted(s))
@@ -62,27 +59,16 @@ def tset_table(A: BinMatrix, t: int, lam: int) -> TsetTable:
     return TsetTable(A.m, t, lam, mu, d)
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    passed: bool
-    witness: dict | None = None
-    detail: str = ""
+# witness: None when the check passed, else a dict naming what broke it
+AuditCheck = namedtuple("AuditCheck", "name passed witness detail")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    m: int
-    t: int
-    ell: int
-    lam: int
-    profile: tuple[int, int, int]
-    n_missing: int
-    n_typical: int
-    checks: tuple[AuditCheck, ...]
-    per_row_counts: dict[int, int]
-    row_set: dict | None = None
-    ratios: dict[str, float] = field(default_factory=dict)
+class AnalysisReport(namedtuple("AnalysisReport", "m t ell lam profile n_missing n_typical checks "
+                                                  "per_row_counts row_set ratios")):
+    """What lemma_audit found: the profile (a_t, a_t1, a_higher), the
+    t-set counts, every check, and row_set only when a row set was given."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -144,6 +130,8 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
         raise ValueError(f"t={t} outside 1..{A.m}")
     if ell < 0:
         raise ValueError(f"ell={ell} must be nonnegative")
+    if lam < 0:
+        raise ValueError(f"lam={lam} must be nonnegative")
     prof = A.column_profile(t)
     table = tset_table(A, t, lam)
     per_row = _per_row_counts(A, t)

@@ -8,33 +8,32 @@ evaluated at any m and carry a note saying so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
 ASYMPTOTIC_NOTE = "stated validity requires sufficiently large m"
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    exact: Fraction
-    attained_by: str | None = None
-    notes: tuple[str, ...] = ()
+class BoundValue(namedtuple("BoundValue", "exact attained_by notes")):
+    """An exact nonnegative bound, the construction that attains it, if any,
+    and notes on where it holds."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "exact", Fraction(self.exact))
-        if self.exact < 0:
+    __slots__ = ()
+
+    def __new__(cls, exact, attained_by: str | None = None, notes: tuple[str, ...] = ()):
+        exact = Fraction(exact)
+        if exact < 0:
             raise ValueError("bound values are nonnegative")
+        return tuple.__new__(cls, (exact, attained_by, notes))
 
     @property
     def floor_int(self) -> int:
         return math.floor(self.exact)
 
 
-@dataclass(frozen=True)
-class PigeonholeCheck:
-    lhs: int
-    rhs: int
+class PigeonholeCheck(namedtuple("PigeonholeCheck", "lhs rhs")):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -49,8 +48,15 @@ def designconfig_bound(t: int, k: int, lam: int, m: int) -> BoundValue:
     return BoundValue(Fraction(lam * comb(m, t), comb(k, t)), attained_by="design incidence")
 
 
+def _nonnegative(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name}={value} must be nonnegative")
+
+
 def genl_bound(t: int, ell: int, lam: int, m: int) -> BoundValue:
     """Sum_{i<t} C(m,i) + (1 + lam/(t+1)) C(m,t) + Sum_{i>m-ell} C(m,i)."""
+    _nonnegative(t=t, ell=ell, lam=lam, m=m)
     notes = [ASYMPTOTIC_NOTE]
     if t <= ell:
         notes.append(f"stated for t > ell, got t={t}, ell={ell}")
@@ -63,6 +69,7 @@ def genl_bound(t: int, ell: int, lam: int, m: int) -> BoundValue:
 def design_tplus1_bound(t: int, ell: int, lam: int, m: int) -> BoundValue:
     """lam/(t+1) * C(m,t): max columns with sums in {t+1..m-1} avoiding
     lam+1 copies of the t-ones/ell-zeros column."""
+    _nonnegative(t=t, ell=ell, lam=lam, m=m)
     notes = [ASYMPTOTIC_NOTE]
     if t <= ell:
         notes.append(f"stated for t > ell, got t={t}, ell={ell}")

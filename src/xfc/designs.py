@@ -8,8 +8,7 @@ run it at build time, so a returned design is always verified.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import comb
 
@@ -24,23 +23,25 @@ class DesignFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Design:
-    m: int
-    k: int
-    t: int
-    lam: int
-    blocks: tuple[tuple[int, ...], ...]
+def _sorted_blocks(blocks, m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The blocks with sorted points; each must be a k-subset of 1..m."""
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
+    for b in blocks:
+        if len(b) != k or len(set(b)) != k:
+            raise ValueError(f"block {b} is not a {k}-subset")
+        if b and (b[0] < 1 or b[-1] > m):
+            raise ValueError(f"block {b} has points outside 1..{m}")
+    return blocks
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks)
-        )
-        for b in self.blocks:
-            if len(b) != self.k or len(set(b)) != self.k:
-                raise ValueError(f"block {b} is not a {self.k}-subset")
-            if b and (b[0] < 1 or b[-1] > self.m):
-                raise ValueError(f"block {b} has points outside 1..{self.m}")
+
+class Design(namedtuple("Design", "m k t lam blocks")):
+    """A multiset of k-subsets of [m], blocks sorted, claimed to be a
+    t-(m, k, lam) design; verify_design checks the claim."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, k: int, t: int, lam: int, blocks):
+        return tuple.__new__(cls, (m, k, t, lam, _sorted_blocks(blocks, m, k)))
 
     @property
     def nblocks(self) -> int:
@@ -54,10 +55,8 @@ class Design:
         return BinMatrix(self.m, tuple(mask_of(b) for b in self.blocks))
 
 
-@dataclass(frozen=True)
-class DesignCheck:
-    ok: bool
-    witness: tuple[tuple[int, ...], int] | None = None  # (t-set, coverage count)
+# witness: None, or the first (t-set, coverage count) that is off
+DesignCheck = namedtuple("DesignCheck", "ok witness", defaults=(None,))
 
 
 def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
@@ -71,12 +70,7 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
         raise ValueError("need 0 <= t <= k <= m")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    blocks = [tuple(sorted(b)) for b in blocks]
-    for b in blocks:
-        if len(b) != k or len(set(b)) != k:
-            raise ValueError(f"block {b} is not a {k}-subset")
-        if b and (b[0] < 1 or b[-1] > m):
-            raise ValueError(f"block {b} has points outside 1..{m}")
+    blocks = _sorted_blocks(blocks, m, k)
     cover: Counter = Counter()
     for b in blocks:
         for s in combinations(b, t):
@@ -90,9 +84,10 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
     return DesignCheck(True)
 
 
-@dataclass(frozen=True)
-class DivisibilityCheck:
-    per_index: dict[int, bool]
+class DivisibilityCheck(namedtuple("DivisibilityCheck", "per_index")):
+    """per_index[i]: whether the condition for index i holds."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -4,13 +4,13 @@ A matrix is an ordered multiset of columns over rows 1..m.  Each column is
 stored as a packed bitmask (bit i-1 set <=> the column has a 1 in row i).
 Containment of blocks and general patterns, and maximum multiplicity, run
 one search over injective maps of the pattern's rows into A's rows.  All
-values are immutable; every operation returns fresh objects.
+values are immutable named tuples, compared and hashed by their fields;
+every operation returns fresh objects.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 
 # Containment refuses a pattern whose row masks, one per distinct pattern
@@ -47,25 +47,24 @@ def rows_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BinMatrix:
+class BinMatrix(namedtuple("BinMatrix", "m cols")):
     """An m-rowed (0,1)-matrix as an ordered multiset of column bitmasks.
 
     ``m`` may be 0 only for degenerate patterns (a configuration with no
     rows); real inputs always have m >= 1.
     """
 
-    m: int
-    cols: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __new__(cls, m: int, cols=()):
+        if m < 0:
             raise ValueError("row count must be nonnegative")
-        object.__setattr__(self, "cols", tuple(self.cols))
-        limit = 1 << self.m
-        for j, c in enumerate(self.cols):
+        cols = tuple(cols)
+        limit = 1 << m
+        for j, c in enumerate(cols):
             if not 0 <= c < limit:
-                raise ValueError(f"column {j} has 1-positions outside 1..{self.m}")
+                raise ValueError(f"column {j} has 1-positions outside 1..{m}")
+        return tuple.__new__(cls, (m, cols))
 
     @classmethod
     def from_columns(cls, m: int, columns) -> "BinMatrix":
@@ -120,12 +119,7 @@ class BinMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ColumnProfile:
-    a_t: int
-    a_t1: int
-    a_higher: int
-    histogram: tuple[int, ...]
+ColumnProfile = namedtuple("ColumnProfile", "a_t a_t1 a_higher histogram")
 
 
 def complete_layer(m: int, s: int) -> BinMatrix:
@@ -141,35 +135,31 @@ def layer_range(m: int, sums) -> BinMatrix:
     return BinMatrix(m, tuple(c for s in sorted(set(sums)) for c in complete_layer(m, s).cols))
 
 
-@dataclass(frozen=True)
-class RowSplit:
-    """A disjoint (ones-rows, zeros-rows) pair of row subsets."""
+class RowSplit(namedtuple("RowSplit", "ones zeros")):
+    """A disjoint (ones-rows, zeros-rows) pair of row subsets, each sorted."""
 
-    ones: tuple[int, ...]
-    zeros: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ones", tuple(sorted(self.ones)))
-        object.__setattr__(self, "zeros", tuple(sorted(self.zeros)))
-        if set(self.ones) & set(self.zeros):
+    def __new__(cls, ones, zeros):
+        ones, zeros = tuple(sorted(ones)), tuple(sorted(zeros))
+        if set(ones) & set(zeros):
             raise ValueError("ones-rows and zeros-rows must be disjoint")
+        return tuple.__new__(cls, (ones, zeros))
 
     def valid_for(self, m: int) -> bool:
         pts = self.ones + self.zeros
         return all(1 <= r <= m for r in pts)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "q t ell")):
     """The (t+ell) x q pattern of q identical columns: t ones over ell zeros."""
 
-    q: int
-    t: int
-    ell: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 0 or self.t < 0 or self.ell < 0:
-            raise ValueError(f"Block parameters must be nonnegative, got {self.q},{self.t},{self.ell}")
+    def __new__(cls, q: int, t: int, ell: int):
+        if q < 0 or t < 0 or ell < 0:
+            raise ValueError(f"Block parameters must be nonnegative, got {q},{t},{ell}")
+        return tuple.__new__(cls, (q, t, ell))
 
     @property
     def nrows(self) -> int:
@@ -181,11 +171,10 @@ class Block:
         return BinMatrix(self.nrows, (col,) * self.q)
 
 
-@dataclass(frozen=True)
-class General:
+class General(namedtuple("General", "pattern")):
     """An arbitrary (0,1)-pattern regarded up to row and column permutation."""
 
-    pattern: BinMatrix
+    __slots__ = ()
 
 
 Configuration = Block | General

@@ -25,8 +25,11 @@ from xfc.designs import divisibility_check
 def test_bound_value_floor_and_sign():
     b = BoundValue(Fraction(7, 2))
     assert b.floor_int == 3
-    with pytest.raises(ValueError):
+    assert type(BoundValue(5).exact) is Fraction and BoundValue(5).notes == ()
+    with pytest.raises(ValueError, match="bound values are nonnegative"):
         BoundValue(Fraction(-1, 2))
+    with pytest.raises(AttributeError):
+        b.exact = Fraction(1)
 
 
 def test_designconfig_bound():

@@ -139,6 +139,16 @@ def test_analyze_rejects_negative_zeros_count(capsys, tmp_path):
     assert "ell=-1" in err and "non-negative integer" not in err
 
 
+def test_analyze_rejects_negative_lambda(capsys, tmp_path):
+    mat = tmp_path / "a.mat"
+    run(capsys, "construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7",
+        "-o", str(mat))
+    code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", "2", "--l", "1",
+                         "--lambda", "-1")
+    assert code == 2 and out == ""
+    assert "lam=-1" in err
+
+
 def test_missing_design_file_is_named_the_same_by_both_readers(capsys, tmp_path):
     missing = tmp_path / "missing.des"
     for argv in (["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1",
@@ -180,6 +190,16 @@ def test_bounds_subcommand(capsys):
 def test_bounds_rejects_bad_params(capsys):
     code, _, err = run(capsys, "bounds", "q10-upper", "--q", "3", "--m", "2")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("formula", ["genl", "design-tplus1"])
+@pytest.mark.parametrize("flag", ["t", "l", "lambda", "m"])
+def test_bounds_refuse_negative_inputs(capsys, formula, flag):
+    values = {"t": "2", "l": "1", "lambda": "1", "m": "7", flag: "-1"}
+    code, out, err = run(capsys, "bounds", formula, *(a for f, v in values.items() for a in (f"--{f}", v)))
+    name = {"l": "ell", "lambda": "lam"}.get(flag, flag)
+    assert code == 2 and out == ""
+    assert f"error: {name}=-1 must be nonnegative" in err
 
 
 def test_bounds_missing_flags_are_named(capsys):
@@ -449,30 +469,39 @@ SUBCOMMAND_MODULES = {
                   {"bounds", "constructions", "designs", "matrix"}),
     "analyze": (["analyze", "--matrix", "{A}", "--t", "1", "--l", "1", "--lambda", "1"],
                 {"analysis", "bounds", "matrix"}),
+    "audit": (["audit", "--m", "7"], {"analysis", "bounds", "constructions", "designs", "matrix"}),
+    "verify-design": (["verify-design", "{D}"], {"designs", "matrix"}),
 }
 
 
-def _loaded_xfc_modules(code: str) -> set[str]:
-    """The xfc modules in sys.modules after a fresh interpreter runs code."""
-    script = f"import sys\n{code}\nprint(*(m for m in sys.modules if m.split('.')[0] == 'xfc'))"
+def _loaded_modules(code: str) -> set[str]:
+    """The names in sys.modules after a fresh interpreter runs code."""
+    script = f"import sys\n{code}\nprint(*sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(xfc.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def _xfc_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.split(".")[0] == "xfc"}
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
 def test_each_subcommand_imports_only_its_modules(command, tmp_path):
-    matrix = tmp_path / "A.mat"
+    matrix, design = tmp_path / "A.mat", tmp_path / "D.des"
     matrix.write_text("3 2\n10\n01\n11\n")
+    design.write_text(write_design(sts(7)))
     args, modules = SUBCOMMAND_MODULES[command]
-    argv = [a.format(A=matrix) for a in args]
-    loaded = _loaded_xfc_modules(f"from xfc.cli import main\nif main({argv!r}) > 1: sys.exit(1)")
-    assert loaded == {"xfc", "xfc.cli"} | {f"xfc.{m}" for m in modules}
+    argv = [a.format(A=matrix, D=design) for a in args]
+    loaded = _loaded_modules(f"from xfc.cli import main\nif main({argv!r}) > 1: sys.exit(1)")
+    assert _xfc_modules(loaded) == {"xfc", "xfc.cli"} | {f"xfc.{m}" for m in modules}
+    # dataclasses costs about 4 ms of start-up; only the search still uses it
+    assert ("dataclasses" in loaded) == (command == "search")
 
 
 def test_search_module_does_not_load_the_constructions():
-    assert _loaded_xfc_modules("import xfc.search") == {"xfc", "xfc.matrix", "xfc.search"}
+    assert _xfc_modules(_loaded_modules("import xfc.search")) == {"xfc", "xfc.matrix", "xfc.search"}
 
 
 def test_audit_subcommand(capsys):

@@ -137,7 +137,11 @@ def test_design_text_errors(text, line):
 
 
 def test_design_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a 3-subset"):
         Design(7, 3, 2, 1, ((1, 2, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"has points outside 1\.\.7"):
         Design(7, 3, 2, 1, ((5, 6, 8),))
+    d = Design(7, 3, 2, 1, [(3, 2, 1)])
+    assert d.blocks == ((1, 2, 3),) and d == Design(7, 3, 2, 1, ((1, 2, 3),))
+    with pytest.raises(AttributeError):
+        d.blocks = ()

@@ -157,9 +157,36 @@ def test_block_support_count_examples():
 
 
 def test_row_split_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be disjoint"):
         RowSplit((1, 2), (2,))
     assert not RowSplit((1,), (9,)).valid_for(5)
+
+
+def test_matrix_and_block_validation():
+    with pytest.raises(ValueError, match="row count must be nonnegative"):
+        BinMatrix(-1)
+    for cols in ((1, 4), (1, -1)):
+        with pytest.raises(ValueError, match=r"column 1 has 1-positions outside 1\.\.2"):
+            BinMatrix(2, cols)
+    for q, t, ell in ((-1, 2, 1), (3, -2, 1), (3, 2, -1)):
+        with pytest.raises(ValueError, match="Block parameters must be nonnegative"):
+            Block(q, t, ell)
+
+
+def test_values_compare_and_hash_by_fields_and_refuse_assignment():
+    A = fano_matrix()
+    same = BinMatrix(7, list(A.cols))  # any iterable of columns is stored as a tuple
+    assert A == same and hash(A) == hash(same) and isinstance(same.cols, tuple)
+    assert A != A.complement() and A != BinMatrix(8, A.cols)
+    assert len({A, same, A.complement()}) == 2
+    assert Block(3, 2, 1) == Block(3, 2, 1) != Block(3, 1, 2)
+    assert len({Block(3, 2, 1), Block(3, 2, 1), Block(2, 2, 1)}) == 2
+    assert General(A) == General(same) and hash(General(A)) == hash(General(same))
+    assert RowSplit((2, 1), ()) == RowSplit((1, 2), ())
+    for value, field in ((A, "cols"), (A, "m"), (Block(3, 2, 1), "q"), (General(A), "pattern"),
+                         (RowSplit((1,), (2,)), "ones")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
 
 
 def test_max_block_multiplicity_exhaustive_oracle():

@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -199,6 +200,21 @@ def test_paper_policy_m8_proof():
     assert (r.optimum, r.proof_of_optimality, r.nodes) == (46, True, 1_272_746)
     assert int(genl_bound(2, 1, 1, 8).exact) == 47
     assert verify_witness(p, r.witness)
+
+
+@pytest.mark.slow
+def test_paper_policy_m9_proof():
+    # the optimum meets genl_bound exactly, and the witness's sum-3 columns
+    # are a Steiner triple system STS(9); 13 times fewer nodes than m = 8
+    p = SearchProblem(9, Block(3, 2, 1), policy="paper")
+    r = exact_max(p)
+    assert (r.optimum, r.proof_of_optimality, r.nodes) == (59, True, 96_492)
+    assert genl_bound(2, 1, 1, 9).exact == 59
+    assert verify_witness(p, r.witness)
+    sums = r.witness.column_sums()
+    assert sorted(Counter(sums).items()) == [(0, 1), (1, 9), (2, 36), (3, 12), (9, 1)]
+    blocks = [rows for rows, s in zip(r.witness.column_sets(), sums) if s == 3]
+    assert verify_design(blocks, 9, 3, 2, 1).ok
 
 
 def test_node_budget_gives_best_effort():
