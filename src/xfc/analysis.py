@@ -59,8 +59,15 @@ def tset_table(A: BinMatrix, t: int, lam: int) -> TsetTable:
     return TsetTable(A.m, t, lam, mu, d)
 
 
-# witness: None when the check passed, else a dict naming what broke it
-AuditCheck = namedtuple("AuditCheck", "name passed witness detail")
+class AuditCheck(namedtuple("AuditCheck", "name witness detail")):
+    """One audited inequality.  witness: None when it holds, else a dict
+    naming what broke it."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "m t ell lam profile n_missing n_typical checks "
@@ -135,99 +142,62 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
     prof = A.column_profile(t)
     table = tset_table(A, t, lam)
     per_row = _per_row_counts(A, t)
-    checks: list[AuditCheck] = []
-
-    bad = next(
-        (j for j, c in enumerate(A.cols) if not t <= c.bit_count() <= A.m - ell), None
-    )
-    checks.append(
+    row_cap = Fraction(lam + 1, t) * comb(A.m - 1, t - 1)
+    need_zeros = lam + ell
+    n_missing = sum(1 for s in table.mu.values() if s == 0)
+    dsum = sum(table.d.values())
+    ph = pigeonhole_terms(t, ell, lam, A.m, (prof.a_t, prof.a_t1, prof.a_higher))
+    first: dict[int, int] = {}  # sum-t column -> index of its first copy
+    # each check is built from its first violation, or None when it holds
+    checks = [
         AuditCheck(
             "column_sum_band",
-            bad is None,
-            None if bad is None else {"column_index": bad, "sum": A.cols[bad].bit_count()},
+            next(({"column_index": j, "sum": c.bit_count()} for j, c in enumerate(A.cols)
+                  if not t <= c.bit_count() <= A.m - ell), None),
             f"column sums within {{{t}..{A.m - ell}}}",
-        )
-    )
-
-    seen: dict[int, int] = {}
-    repeat = None
-    for j, c in enumerate(A.cols):
-        if c.bit_count() == t:
-            if c in seen:
-                repeat = {"column_index": j, "first_index": seen[c], "rows": rows_of(c)}
-                break
-            seen[c] = j
-    checks.append(AuditCheck("low_sum_unrepeated", repeat is None, repeat, "sum-t columns distinct"))
-
-    viol = next(
-        (s for s in tsets_colex(A.m, t) if table.d[s] + table.mu[s] > lam + 1), None
-    )
-    checks.append(
+        ),
+        AuditCheck(
+            "low_sum_unrepeated",
+            next(({"column_index": j, "first_index": first[c], "rows": rows_of(c)}
+                  for j, c in enumerate(A.cols)
+                  if c.bit_count() == t and first.setdefault(c, j) != j), None),
+            "sum-t columns distinct",
+        ),
         AuditCheck(
             "degree_cap",
-            viol is None,
-            None if viol is None else {"tset": viol, "d": table.d[viol], "mu": table.mu[viol]},
+            next(({"tset": s, "d": table.d[s], "mu": table.mu[s]} for s in tsets_colex(A.m, t)
+                  if table.d[s] + table.mu[s] > lam + 1), None),
             f"d(S) + mu(S) <= {lam + 1}",
-        )
-    )
-
-    ph = pigeonhole_terms(t, ell, lam, A.m, (prof.a_t, prof.a_t1, prof.a_higher))
-    checks.append(
+        ),
         AuditCheck(
             "support_pigeonhole",
-            ph.holds,
             None if ph.holds else {"lhs": ph.lhs, "rhs": ph.rhs},
             f"weighted profile {ph.lhs} <= capacity {ph.rhs}",
-        )
-    )
-
-    n_missing = sum(1 for s in table.mu.values() if s == 0)
-    part_ok = prof.a_t == comb(A.m, t) - n_missing
-    checks.append(
+        ),
         AuditCheck(
             "tset_partition",
-            part_ok,
-            None if part_ok else {"a_t": prof.a_t, "missing": n_missing, "total": comb(A.m, t)},
+            None if prof.a_t == comb(A.m, t) - n_missing
+            else {"a_t": prof.a_t, "missing": n_missing, "total": comb(A.m, t)},
             "a_t = C(m,t) - #missing",
-        )
-    )
-
-    dsum = sum(table.d.values())
-    inc_ok = dsum == (t + 1) * prof.a_t1
-    checks.append(
+        ),
         AuditCheck(
             "incidence_sum",
-            inc_ok,
-            None if inc_ok else {"sum_d": dsum, "a_t1": prof.a_t1},
+            None if dsum == (t + 1) * prof.a_t1 else {"sum_d": dsum, "a_t1": prof.a_t1},
             "sum d(S) = (t+1) a_{t+1}",
-        )
-    )
-
-    row_cap = Fraction(lam + 1, t) * comb(A.m - 1, t - 1)
-    bad_row = next((r for r in per_row if per_row[r] > row_cap), None)
-    checks.append(
+        ),
         AuditCheck(
             "per_row_cap",
-            bad_row is None,
-            None
-            if bad_row is None
-            else {"row": bad_row, "count": per_row[bad_row], "cap": f"{row_cap}"},
+            next(({"row": r, "count": n, "cap": f"{row_cap}"} for r, n in per_row.items()
+                  if n > row_cap), None),
             f"per-row sum-(t+1) count <= {row_cap}",
-        )
-    )
-
-    need_zeros = lam + ell
-    bad = next((j for j, c in enumerate(A.cols) if A.m - c.bit_count() < need_zeros), None)
-    checks.append(
+        ),
         AuditCheck(
             "zero_count_floor",
-            bad is None,
-            None
-            if bad is None
-            else {"column_index": bad, "zeros": A.m - A.cols[bad].bit_count(), "need": need_zeros},
+            next(({"column_index": j, "zeros": A.m - c.bit_count(), "need": need_zeros}
+                  for j, c in enumerate(A.cols) if A.m - c.bit_count() < need_zeros), None),
             f"every column has >= {need_zeros} zeros",
-        )
-    )
+        ),
+    ]
 
     row_set = None
     if rows_r is not None:
@@ -249,7 +219,6 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
         checks.append(
             AuditCheck(
                 "row_set_cap",
-                a_r <= cap,
                 None if a_r <= cap else {"rows": tuple(rows_r), "count": a_r, "cap": f"{cap}"},
                 f"sum-(t+1) columns meeting R <= {cap}",
             )

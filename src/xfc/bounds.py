@@ -45,6 +45,7 @@ def designconfig_bound(t: int, k: int, lam: int, m: int) -> BoundValue:
     a full t-row block."""
     if not 0 <= t <= k <= m:
         raise ValueError("need 0 <= t <= k <= m")
+    _nonnegative(lam=lam)
     return BoundValue(Fraction(lam * comb(m, t), comb(k, t)), attained_by="design incidence")
 
 
@@ -87,9 +88,10 @@ def pigeonhole_terms(t: int, ell: int, lam: int, m: int, profile) -> PigeonholeC
     t-ones/ell-zeros supports each column class provides; rhs is the
     capacity C(m, t+ell) * C(t+ell, ell) * (lam+1).
     """
+    a_t, a_t1, a_higher = profile
+    _nonnegative(t=t, ell=ell, lam=lam, m=m, a_t=a_t, a_t1=a_t1, a_higher=a_higher)
     if m < t + ell:
         raise ValueError("need m >= t + ell")
-    a_t, a_t1, a_higher = profile
 
     def supports(s: int) -> int:
         """Supports of one sum-s column; none when no such column exists."""
@@ -118,8 +120,7 @@ def q10_upper(q: int, m: int) -> BoundValue:
 def bound_1100(lam: int, m: int) -> BoundValue:
     """2 + 2m + (2 + lam/3) C(m,2) for avoiding lam+3 copies of the
     two-ones/two-zeros column."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _nonnegative(lam=lam, m=m)
     return BoundValue(
         2 + 2 * m + (2 + Fraction(lam, 3)) * comb(m, 2),
         attained_by="split 1100 construction",
@@ -129,8 +130,7 @@ def bound_1100(lam: int, m: int) -> BoundValue:
 
 def design_1100_bound(lam: int, m: int) -> BoundValue:
     """lam/3 * C(m,2) for column sums in {3..m-3}."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _nonnegative(lam=lam, m=m)
     return BoundValue(
         Fraction(lam, 3) * comb(m, 2),
         attained_by="split 1100 middle layers",

@@ -209,7 +209,7 @@ def cmd_verify_design(args) -> int:
         "params": {"m": d.m, "k": d.k, "t": d.t, "lambda": d.lam, "blocks": d.nblocks},
         "witness": None
         if check.ok
-        else {"tset": list(check.witness[0]), "count": check.witness[1], "expected": d.lam},
+        else {"tset": check.witness[0], "count": check.witness[1], "expected": d.lam},
     }
     print(json.dumps(verdict))
     return 0 if check.ok else NEGATIVE
@@ -257,9 +257,7 @@ def _report_json(report, include_witness: bool) -> dict:
     for c in report.checks:
         item = {"name": c.name, "passed": c.passed, "detail": c.detail}
         if include_witness and c.witness is not None:
-            item["witness"] = {
-                k: (list(v) if isinstance(v, tuple) else v) for k, v in c.witness.items()
-            }
+            item["witness"] = c.witness
         checks.append(item)
     out = {
         "m": report.m,
@@ -275,9 +273,7 @@ def _report_json(report, include_witness: bool) -> dict:
         "empirical_ratios": report.ratios,
     }
     if report.row_set is not None:
-        rs = dict(report.row_set)
-        rs["rows"] = list(rs["rows"])
-        out["row_set"] = rs
+        out["row_set"] = report.row_set
     return out
 
 

@@ -55,8 +55,14 @@ class Design(namedtuple("Design", "m k t lam blocks")):
         return BinMatrix(self.m, tuple(mask_of(b) for b in self.blocks))
 
 
-# witness: None, or the first (t-set, coverage count) that is off
-DesignCheck = namedtuple("DesignCheck", "ok witness", defaults=(None,))
+class DesignCheck(namedtuple("DesignCheck", "witness", defaults=(None,))):
+    """witness: None, or the first (t-set, coverage count) that is off."""
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
@@ -77,11 +83,11 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
             cover[s] += 1
     for s in combinations(range(1, m + 1), t):
         if cover[s] != lam:
-            return DesignCheck(False, (s, cover[s]))
+            return DesignCheck((s, cover[s]))
     # coverage exact => double counting fixes the block count
     if len(blocks) * comb(k, t) != lam * comb(m, t):
         raise RuntimeError("exact t-set coverage with the wrong block count")
-    return DesignCheck(True)
+    return DesignCheck()
 
 
 class DivisibilityCheck(namedtuple("DivisibilityCheck", "per_index")):

@@ -79,7 +79,8 @@ subsets of the candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import chain
 from math import comb
 from operator import lshift, or_
@@ -134,12 +135,15 @@ class SearchProblem:
         return frozenset(low | high)
 
 
-@dataclass
-class SearchResult:
-    optimum: int
-    witness: BinMatrix
-    nodes: int
-    proof_of_optimality: bool
+class SearchResult(namedtuple("SearchResult", "witness nodes proof_of_optimality")):
+    """A verified witness, the nodes searched, and whether the search ran to
+    the end; the optimum is the witness's column count."""
+
+    __slots__ = ()
+
+    @property
+    def optimum(self) -> int:
+        return self.witness.ncols
 
 
 def verify_witness(p: SearchProblem, A: BinMatrix) -> bool:
@@ -342,7 +346,7 @@ def exact_max(p: SearchProblem) -> SearchResult:
     """Maximum column count over matrices satisfying the problem, with a
     witness.  Optimality is proven unless the node budget runs out."""
     if isinstance(p.config, General):
-        return _exact_max_general(p)
+        return _exact_max_general(p, p.node_budget)
     kernel = _Kernel(p)
     greedy_sol = kernel.greedy()
     best_sol, nodes, exhausted = kernel.solve(len(greedy_sol), p.node_budget)
@@ -351,21 +355,16 @@ def exact_max(p: SearchProblem) -> SearchResult:
     witness = BinMatrix(p.m, tuple(kernel.free_cols) + tuple(kernel.cols[i] for i in best_sol))
     if not verify_witness(p, witness):
         raise RuntimeError("search witness fails the independent constraint replay")
-    return SearchResult(
-        optimum=witness.ncols,
-        witness=witness,
-        nodes=nodes,
-        proof_of_optimality=not exhausted,
-    )
+    return SearchResult(witness, nodes, not exhausted)
 
 
-def _exact_max_general(p: SearchProblem) -> SearchResult:
-    """Subset search for general patterns and the exhaustive oracle: extend
-    pattern-free sets in candidate order, testing every extension with
-    contains_config.  At most 24 candidates."""
+def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResult:
+    """Subset search for general patterns, and for blocks too in the
+    exhaustive oracle: extend pattern-free sets in candidate order, testing
+    every extension with contains_config.  At most 24 candidates."""
     if p.policy != "simple":
         raise ValueError("general-pattern search supports only the simple policy")
-    if p.config.pattern.ncols == 0:
+    if contains_config(p.config, BinMatrix(p.m, ())):
         raise ValueError("every matrix contains the empty pattern; no maximum exists")
     cand = _candidates(p, 24, "general-pattern search")
     best: tuple[int, ...] = ()
@@ -375,7 +374,7 @@ def _exact_max_general(p: SearchProblem) -> SearchResult:
     def dfs(start: int, cur: tuple[int, ...]) -> None:
         nonlocal best, nodes, exhausted
         nodes += 1
-        if p.node_budget is not None and nodes > p.node_budget:
+        if node_budget is not None and nodes > node_budget:
             exhausted = True
             return
         if len(cur) > len(best):
@@ -390,8 +389,7 @@ def _exact_max_general(p: SearchProblem) -> SearchResult:
                 return
 
     dfs(0, ())
-    witness = BinMatrix(p.m, best)
-    return SearchResult(len(best), witness, nodes, not exhausted)
+    return SearchResult(BinMatrix(p.m, best), nodes, not exhausted)
 
 
 def exhaustive_oracle(p: SearchProblem) -> SearchResult:
@@ -401,7 +399,4 @@ def exhaustive_oracle(p: SearchProblem) -> SearchResult:
     since a superset of a containing set contains the pattern too, and
     ``nodes`` counts the sets it visits.  Containment goes through the
     row-map search of contains_config, not the split-count kernel."""
-    if p.policy != "simple":
-        raise ValueError("the oracle only handles the simple policy")
-    pattern = p.config.pattern() if isinstance(p.config, Block) else p.config.pattern
-    return _exact_max_general(replace(p, config=General(pattern), node_budget=None))
+    return _exact_max_general(p, None)

@@ -192,11 +192,24 @@ def test_bounds_rejects_bad_params(capsys):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("formula", ["genl", "design-tplus1"])
-@pytest.mark.parametrize("flag", ["t", "l", "lambda", "m"])
-def test_bounds_refuse_negative_inputs(capsys, formula, flag):
-    values = {"t": "2", "l": "1", "lambda": "1", "m": "7", flag: "-1"}
-    code, out, err = run(capsys, "bounds", formula, *(a for f, v in values.items() for a in (f"--{f}", v)))
+PROFILE = ("a_t", "a_t1", "a_higher")
+
+
+@pytest.mark.parametrize("flag, formula", [
+    *((flag, formula) for formula in ("genl", "design-tplus1", "pigeonhole")
+      for flag in ("t", "l", "lambda", "m")),
+    *((count, "pigeonhole") for count in PROFILE),
+    *((flag, formula) for formula in ("bound-1100", "design-1100") for flag in ("lambda", "m")),
+    ("lambda", "designconfig"),
+])
+def test_bounds_refuse_negative_inputs(capsys, flag, formula):
+    # a valid call, pigeonhole's --profile a_t,a_t1,a_higher included, with one value negative
+    values = {"t": "2", "l": "1", "k": "3", "lambda": "1", "m": "7",
+              "a_t": "21", "a_t1": "7", "a_higher": "0", flag: "-1"}
+    argv = [a for f in BOUNDS[formula][1] for a in (f"--{f}", values[f])]
+    if formula == "pigeonhole":
+        argv.append("--profile=" + ",".join(values[c] for c in PROFILE))
+    code, out, err = run(capsys, "bounds", formula, *argv)
     name = {"l": "ell", "lambda": "lam"}.get(flag, flag)
     assert code == 2 and out == ""
     assert f"error: {name}=-1 must be nonnegative" in err
@@ -259,6 +272,50 @@ def test_analyze_reports_json(capsys, tmp_path):
     names = {c["name"]: c["passed"] for c in payload["checks"]}
     assert names["degree_cap"] is True
     assert names["zero_count_floor"] is False
+
+
+# stdout of `analyze --witness --rows 1` on a 2-row matrix (columns 10, 10, 01,
+# 11, 11) that fails every check but the incidence identity, at t=1, l=1, lambda=0
+FAILED_ANALYSIS = (
+    '{"m": 2, "t": 1, "l": 1, "lambda": 0, "profile": {"a_t": 3, "a_t1": 2, "a_higher": 0}, '
+    '"missing_tsets": 0, "typical_tsets": 0, "all_passed": false, "checks": ['
+    '{"name": "column_sum_band", "passed": false, "detail": "column sums within {1..1}", '
+    '"witness": {"column_index": 3, "sum": 2}}, '
+    '{"name": "low_sum_unrepeated", "passed": false, "detail": "sum-t columns distinct", '
+    '"witness": {"column_index": 1, "first_index": 0, "rows": [1]}}, '
+    '{"name": "degree_cap", "passed": false, "detail": "d(S) + mu(S) <= 1", '
+    '"witness": {"tset": [1], "d": 2, "mu": 1}}, '
+    '{"name": "support_pigeonhole", "passed": false, "detail": "weighted profile 3 <= capacity 2", '
+    '"witness": {"lhs": 3, "rhs": 2}}, '
+    '{"name": "tset_partition", "passed": false, "detail": "a_t = C(m,t) - #missing", '
+    '"witness": {"a_t": 3, "missing": 0, "total": 2}}, '
+    '{"name": "incidence_sum", "passed": true, "detail": "sum d(S) = (t+1) a_{t+1}"}, '
+    '{"name": "per_row_cap", "passed": false, "detail": "per-row sum-(t+1) count <= 1", '
+    '"witness": {"row": 1, "count": 2, "cap": "1"}}, '
+    '{"name": "zero_count_floor", "passed": false, "detail": "every column has >= 1 zeros", '
+    '"witness": {"column_index": 3, "zeros": 0, "need": 1}}, '
+    '{"name": "row_set_cap", "passed": false, "detail": "sum-(t+1) columns meeting R <= 1", '
+    '"witness": {"rows": [1], "count": 2, "cap": "1"}}], '
+    '"per_row_counts": {"1": 2, "2": 2}, "empirical_ratios": {"missing_over_m_pow": 0.0, '
+    '"higher_over_m_pow": 0.0, "typical_deficit_over_m_pow": 2.0}, '
+    '"row_set": {"rows": [1], "count": 2, "w_size": 2, "z_size": 0, '
+    '"note": "|R| = 1 >= lam + ell = 1: outside the intended regime"}}\n'
+)
+# stdout of `verify-design` on the Fano plane less its block {1, 2, 3}
+FAILED_DESIGN = ('{"valid": false, "params": {"m": 7, "k": 3, "t": 2, "lambda": 1, "blocks": 6}, '
+                 '"witness": {"tset": [1, 2], "count": 0, "expected": 1}}\n')
+
+
+def test_failed_verdicts_print_their_witnesses_exactly(capsys, tmp_path):
+    mat = tmp_path / "a.mat"
+    mat.write_text("2 5\n11011\n00111\n")
+    code, out, _ = run(capsys, "analyze", "--matrix", str(mat), "--t", "1", "--l", "1",
+                       "--lambda", "0", "--witness", "--rows", "1")
+    assert (code, out) == (1, FAILED_ANALYSIS)
+    des = tmp_path / "bad.des"
+    des.write_text("7 3 2 1 6\n2 4 7\n3 5 7\n1 6 7\n1 4 5\n2 5 6\n3 4 6\n")
+    code, out, _ = run(capsys, "verify-design", str(des))
+    assert (code, out) == (1, FAILED_DESIGN)
 
 
 def test_search_subcommand(capsys, tmp_path):
@@ -408,7 +465,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr("xfc.designs.verify_design", lambda *args: DesignCheck(False, ((1, 2), 0)))
+    monkeypatch.setattr("xfc.designs.verify_design", lambda *args: DesignCheck(((1, 2), 0)))
     code, out, err = run(capsys, "construct", "genl-equality", "--t", "2", "--l", "1",
                          "--lambda", "1", "--m", "7")
     assert code == 3 and out == ""

@@ -10,7 +10,9 @@ from math import comb
 import pytest
 from conftest import brute_contains
 
+from xfc.analysis import AuditCheck
 from xfc.constructions import split_1100_construction
+from xfc.designs import DesignCheck
 from xfc.matrix import (
     MAX_ROW_MASK_BITS,
     BinMatrix,
@@ -25,6 +27,7 @@ from xfc.matrix import (
     read_matrix,
     rows_of,
 )
+from xfc.search import SearchResult
 
 
 def kms(m, s):
@@ -183,8 +186,22 @@ def test_values_compare_and_hash_by_fields_and_refuse_assignment():
     assert len({Block(3, 2, 1), Block(3, 2, 1), Block(2, 2, 1)}) == 2
     assert General(A) == General(same) and hash(General(A)) == hash(General(same))
     assert RowSplit((2, 1), ()) == RowSplit((1, 2), ())
+    result = SearchResult(A, 5, True)
+    assert result == SearchResult(same, 5, True) != SearchResult(A, 5, False)
+    assert hash(result) == hash(SearchResult(same, 5, True)) and result.optimum == 7
+    audit = AuditCheck("degree_cap", {"tset": (1, 2)}, "d(S) + mu(S) <= 2")
+    assert audit == AuditCheck("degree_cap", {"tset": (1, 2)}, "d(S) + mu(S) <= 2")
+    assert not audit.passed and AuditCheck("degree_cap", None, "").passed
+    design = DesignCheck(((1, 2), 0))
+    assert design == DesignCheck(((1, 2), 0)) != DesignCheck()
+    assert hash(design) == hash(DesignCheck(((1, 2), 0))) and not design.ok and DesignCheck().ok
+    # verdicts and optima are read off the witness, never stored beside it
+    assert SearchResult._fields == ("witness", "nodes", "proof_of_optimality")
+    assert AuditCheck._fields == ("name", "witness", "detail")
+    assert DesignCheck._fields == ("witness",)
     for value, field in ((A, "cols"), (A, "m"), (Block(3, 2, 1), "q"), (General(A), "pattern"),
-                         (RowSplit((1,), (2,)), "ones")):
+                         (RowSplit((1,), (2,)), "ones"), (result, "witness"), (result, "optimum"),
+                         (audit, "witness"), (audit, "passed"), (design, "witness"), (design, "ok")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
 
