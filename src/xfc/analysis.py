@@ -105,6 +105,11 @@ def w_z_sets(A: BinMatrix, t: int, lam: int, rows_r) -> tuple[tuple, tuple]:
     column carrying a 1 somewhere in rows_r.  Second: typical t-sets not
     of that kind.  Both in colexicographic order.
     """
+    return _w_z_sets(A, t, rows_r, tset_table(A, t, lam))
+
+
+def _w_z_sets(A: BinMatrix, t: int, rows_r, table: TsetTable) -> tuple[tuple, tuple]:
+    """w_z_sets on the t-set table of A, built once by the caller."""
     rows_r = sorted(set(rows_r))
     if any(r < 1 or r > A.m for r in rows_r):
         raise ValueError(f"rows outside 1..{A.m}: {rows_r}")
@@ -113,7 +118,6 @@ def w_z_sets(A: BinMatrix, t: int, lam: int, rows_r) -> tuple[tuple, tuple]:
     for c in A.cols:
         if c.bit_count() == t + 1 and c & rmask:
             touched.update(combinations(rows_of(c), t))
-    table = tset_table(A, t, lam)
     w = tuple(s for s in tsets_colex(A.m, t) if s in touched)
     z = tuple(s for s in tsets_colex(A.m, t) if table.is_typical(s) and s not in touched)
     return w, z
@@ -202,7 +206,7 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
     row_set = None
     if rows_r is not None:
         rows_r = sorted(set(rows_r))
-        w, z = w_z_sets(A, t, lam, rows_r)  # checks the rows before they become a mask
+        w, z = _w_z_sets(A, t, rows_r, table)  # checks the rows before they become a mask
         rmask = mask_of(rows_r)
         a_r = sum(1 for c in A.cols if c.bit_count() == t + 1 and c & rmask)
         cap = len(rows_r) * row_cap

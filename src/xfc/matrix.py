@@ -38,12 +38,10 @@ def mask_of(rows) -> int:
 def rows_of(mask: int) -> tuple[int, ...]:
     """Unpack a column bitmask into ascending 1-based row positions."""
     out = []
-    r = 1
     while mask:
-        if mask & 1:
-            out.append(r)
-        mask >>= 1
-        r += 1
+        low = mask & -mask  # peel off the lowest set bit
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

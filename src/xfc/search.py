@@ -46,8 +46,11 @@ a cardinality knapsack.  A child is pushed only if its depth plus its
 knapsack beats the best, and a node stops when the knapsack over the
 rest of its list does.  The root needs no masks: its budget is cap times
 the split count, and when its knapsack does not beat the greedy
-incumbent no DFS runs.  Every listed column weighs at least the least
-weight at or after its position, and the live budget is at most cap
+incumbent no DFS runs.  The greedy itself stops once it holds as many
+columns as the root knapsack: that bounds every feasible multiset, so
+no later candidate could join, and the rest of the masks are never
+built.  Every listed column weighs at least the least weight at or
+after its position, and the live budget is at most cap
 times the split count less the weights chosen, so each knapsack is at
 most floor(budget / least remaining weight), the bound that counts every
 split.  With an incumbent at least as large, the tree searched is a
@@ -81,11 +84,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 from operator import lshift, or_
 
-from .matrix import BinMatrix, Block, Configuration, General, contains_config, layer_range
+from .matrix import BinMatrix, Block, Configuration, General, contains_config
 
 POLICIES = ("simple", "free", "paper")
 
@@ -162,15 +165,16 @@ def verify_witness(p: SearchProblem, A: BinMatrix) -> bool:
     return not contains_config(p.config, A)
 
 
-def _candidates(p: SearchProblem, limit: int, what: str) -> tuple[int, ...]:
-    """Columns of the allowed sums, sum ascending, then 1-positions
-    lexicographic; refused before enumeration when more than limit."""
+def _layers(p: SearchProblem, limit: int, what: str) -> list[tuple[int, tuple[int, ...]]]:
+    """Each allowed sum, ascending, with its columns in lexicographic order
+    of their 1-positions; refused before enumeration when more than limit."""
     n = 0
     for s in p.allowed_sums():
         n += comb(p.m, s)
         if n > limit:  # stop before the count itself grows huge
             raise ValueError(f"candidate columns exceed the {what} limit of {limit}")
-    return layer_range(p.m, p.allowed_sums()).cols
+    rows = [1 << r for r in range(p.m)]
+    return [(s, tuple(map(sum, combinations(rows, s)))) for s in p.allowed_sums()]
 
 
 def _split_masks(m: int, t: int, ell: int, s: int):
@@ -223,34 +227,38 @@ class _Kernel:
                 raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
         # cols holds whole layers: one mask walk per sum that hits a split
         self.layers = [(m, t, ell, s) for s, w in weight.items() if w]
-        candidates = _candidates(p, MAX_CANDIDATES, "search")
-        # columns that hit no split are always addable, once each
-        self.free_cols = [c for c in candidates if not weight[c.bit_count()]]
-        self.cols = cols = [c for c in candidates if weight[c.bit_count()]]
-        weights = [weight[c.bit_count()] for c in cols]
-        self.repeatable = [c.bit_count() not in unrep for c in cols]
-        # rows where a run of ones starts; canonical iff all are cell starts
-        self.runstart = [c & ~(c << 1) for c in cols]
         # the bound counts columns per weight class, lightest first; a
-        # repeatable column stands for cap copies of its weight
-        self.class_weights = sorted(set(weights))
+        # repeatable column stands for cap copies of its weight.  Columns of
+        # one sum share weight, class and repeat kind, so the tables grow by
+        # whole layers.
+        self.class_weights = sorted({w for w in weight.values() if w})
         index = {w: k for k, w in enumerate(self.class_weights)}
-        self.wclass = [index[w] for w in weights]
-        self.units = [self.cap if r else 1 for r in self.repeatable]
+        # columns that hit no split are always addable, once each
+        self.free_cols, self.cols = [], []
+        self.repeatable, self.wclass, self.units = [], [], []
         self.root_counts = [0] * len(self.class_weights)
-        for k, u in zip(self.wclass, self.units):
-            self.root_counts[k] += u
+        for s, layer in _layers(p, MAX_CANDIDATES, "search"):
+            if not weight[s]:
+                self.free_cols += layer
+                continue
+            n, k, rep = len(layer), index[weight[s]], s not in unrep
+            u = self.cap if rep else 1
+            self.cols += layer
+            self.repeatable += [rep] * n
+            self.wclass += [k] * n
+            self.units += [u] * n
+            self.root_counts[k] += n * u
         # no path is longer than the root bound; each frame holds q level
         # masks and a list of at most len(cols) candidate indices
         self.root_bound = depth = self.knapsack(self.root_counts, self.cap * self.nsplits)
-        if depth * (cfg.q * (width // 8 + 36) + 8 * len(cols) + 56) > MAX_STACK_BYTES:
+        if depth * (cfg.q * (width // 8 + 36) + 8 * len(self.cols) + 56) > MAX_STACK_BYTES:
             raise ValueError(f"a {depth}-deep stack of {cfg.q} masks per frame exceeds "
                              f"the search limit of {MAX_STACK_BYTES} bytes")
         # levels[k]: splits hit by at least k chosen columns; levels[cap] is
         # the saturated set, which is every split when cap is 0.  Built after
         # the guard, and only when a column can meet the pattern: with none,
         # the depth is 0 whatever q is and no level is ever read.
-        self.root_levels = ((1 << width) - 1,) + (0,) * self.cap if cols else ()
+        self.root_levels = ((1 << width) - 1,) + (0,) * self.cap if self.cols else ()
 
     def knapsack(self, counts: list[int], budget: int) -> int:
         """Most columns whose weights fit in budget, counts[k] of them of
@@ -268,12 +276,18 @@ class _Kernel:
         return chain.from_iterable(_split_masks(*layer) for layer in self.layers)
 
     def greedy(self) -> list[int]:
-        """First-fit incumbent in candidate order."""
-        levels, sol = self.root_levels, []
+        """First-fit incumbent in candidate order.  It stops once it holds
+        root_bound columns: that bounds every feasible multiset, so no later
+        candidate could join, and the rest of the mask stream is never built."""
+        levels, sol, bound = self.root_levels, [], self.root_bound
+        if not bound:
+            return sol
         for i, hm in enumerate(self.masks()):
             while not hm & levels[-1]:
                 levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
                 sol.append(i)
+                if len(sol) == bound:
+                    return sol
                 if not self.repeatable[i]:
                     break
         return sol
@@ -286,7 +300,9 @@ class _Kernel:
         """
         if self.root_bound <= incumbent:
             return None, 1, False
-        cols, runstart, cap, full = self.cols, self.runstart, self.cap, self.full
+        cols, cap, full = self.cols, self.cap, self.full
+        # rows where a run of ones starts; canonical iff all are cell starts
+        runstart = [c & ~(c << 1) for c in cols]
         wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
         masks = list(self.masks())
         nclasses = len(self.class_weights)
@@ -366,7 +382,7 @@ def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResul
         raise ValueError("general-pattern search supports only the simple policy")
     if contains_config(p.config, BinMatrix(p.m, ())):
         raise ValueError("every matrix contains the empty pattern; no maximum exists")
-    cand = _candidates(p, 24, "general-pattern search")
+    cand = tuple(chain.from_iterable(layer for _, layer in _layers(p, 24, "general-pattern search")))
     best: tuple[int, ...] = ()
     nodes = 0
     exhausted = False

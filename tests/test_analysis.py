@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import xfc.analysis
 from xfc.analysis import lemma_audit, tset_table, tsets_colex, w_z_sets
 from xfc.constructions import complete_layer, genl_equality_construction
 from xfc.designs import sts
@@ -103,6 +104,18 @@ def test_audit_detects_repeated_low_sum_columns():
 def test_audit_empty_matrix_vacuous():
     report = lemma_audit(BinMatrix(6, ()), 2, 1, 1)
     assert report.all_passed
+
+
+def test_audit_builds_the_tset_table_once(monkeypatch):
+    calls = []
+    built = xfc.analysis.tset_table
+    monkeypatch.setattr(xfc.analysis, "tset_table", lambda *a: calls.append(a) or built(*a))
+    A = genl_equality_construction(2, 1, 1, 13, sts(13)).restrict_sums(range(2, 13))
+    lemma_audit(A, 2, 1, 1)
+    assert len(calls) == 1
+    calls.clear()
+    lemma_audit(A, 2, 1, 1, rows_r=(1,))
+    assert len(calls) == 1
 
 
 def test_audit_row_set_section():

@@ -53,6 +53,18 @@ def random_matrix(rng, m, max_cols=10):
     return BinMatrix(m, tuple(rng.randrange(1 << m) for _ in range(n)))
 
 
+def test_rows_of_matches_bit_scan():
+    # every mask on up to 10 rows, and a few wide ones
+    def scan(mask):
+        return tuple(r + 1 for r in range(mask.bit_length()) if mask >> r & 1)
+
+    for mask in range(1 << 10):
+        assert rows_of(mask) == scan(mask), mask
+    for mask in (1 << 36, (1 << 37) - 1, 1 << 36 | 1 << 18 | 1, 1 << 4000 | 1 << 17):
+        assert rows_of(mask) == scan(mask)
+        assert mask_of(rows_of(mask)) == mask
+
+
 # ---------------------------------------------------------------- text format
 
 

@@ -309,14 +309,85 @@ def test_greedy_incumbent_sizes():
         assert len(kernel.free_cols) + len(kernel.greedy()) == want, p
 
 
+SEARCH_WIDE = ((12, Block(2, 2, 2)), (13, Block(2, 2, 1)), (13, Block(2, 3, 1)), (13, Block(2, 3, 2)))
+
+
 def test_search_wide_regime():
     # simple policy over all 2^m candidates, as in the search-wide benchmark
     # the greedy incumbent meets the root bound, so no child is pushed
-    for m, block, want, nodes in ((12, Block(2, 2, 2), 92, 1), (13, Block(2, 2, 1), 93, 1)):
+    for (m, block), want in zip(SEARCH_WIDE, (92, 93, 379, 392)):
         p = SearchProblem(m, block)
         r = exact_max(p)
-        assert (r.optimum, r.proof_of_optimality, r.nodes) == (want, True, nodes)
+        assert (r.optimum, r.proof_of_optimality, r.nodes) == (want, True, 1)
         assert verify_witness(p, r.witness)
+
+
+def test_greedy_stops_drawing_masks_at_the_root_bound(monkeypatch):
+    drawn = []
+
+    def counted(*layer):
+        for hm in _split_masks(*layer):
+            drawn.append(hm)
+            yield hm
+
+    monkeypatch.setattr(xfc.search, "_split_masks", counted)
+    # search-wide: the greedy meets the root bound after a few hundred of
+    # 4,070 to 8,177 candidates, and no DFS builds the rest
+    for (m, block), want in zip(SEARCH_WIDE, (66, 78, 286, 286)):
+        drawn.clear()
+        exact_max(SearchProblem(m, block))
+        assert len(drawn) == want, (m, block)
+    # paper m = 7: the greedy takes 28 columns against a root bound of 29
+    # (37 and 38 with the nine free columns), so it draws every mask
+    kernel = _Kernel(SearchProblem(7, Block(3, 2, 1), policy="paper"))
+    drawn.clear()
+    assert (len(kernel.greedy()), kernel.root_bound) == (28, 29)
+    assert len(drawn) == len(kernel.cols) == 119
+
+
+TABLE_PROBLEMS = (SearchProblem(5, Block(3, 2, 1), policy="paper"),
+                  SearchProblem(6, Block(3, 2, 1), sums=frozenset({1, 3, 4})),
+                  SearchProblem(6, Block(4, 2, 1), sums=frozenset({2, 3, 4}), policy="free"),
+                  SearchProblem(5, Block(1, 1, 1), sums=frozenset(range(1, 5)), policy="free"))
+
+
+def test_layer_tables_match_per_column_derivation():
+    for p in TABLE_PROBLEMS:
+        kernel = _Kernel(p)
+        t, ell, cap = p.config.t, p.config.ell, p.config.q - 1
+        unrep = p.unrepeatable_sums()
+        candidates = [c for s in p.allowed_sums() for c in range(1 << p.m) if c.bit_count() == s]
+        candidates.sort(key=lambda c: (c.bit_count(), [r for r in range(p.m) if c >> r & 1]))
+        weight = {c: comb(c.bit_count(), t) * comb(p.m - c.bit_count(), ell) for c in candidates}
+        cols = [c for c in candidates if weight[c]]
+        assert kernel.free_cols == [c for c in candidates if not weight[c]], p
+        assert kernel.cols == cols, p
+        assert kernel.class_weights == sorted({weight[c] for c in cols}), p
+        assert kernel.repeatable == [c.bit_count() not in unrep for c in cols], p
+        assert kernel.wclass == [kernel.class_weights.index(weight[c]) for c in cols], p
+        assert kernel.units == [1 if c.bit_count() in unrep else cap for c in cols], p
+        counts = [0] * len(kernel.class_weights)
+        for k, u in zip(kernel.wclass, kernel.units):
+            counts[k] += u
+        assert kernel.root_counts == counts, p
+
+
+def test_greedy_equals_unstopped_first_fit():
+    # the stop at the root bound changes how many masks are built, never
+    # which candidates the greedy takes
+    for p in TABLE_PROBLEMS + tuple(SearchProblem(m, block) for m, block in SEARCH_WIDE):
+        kernel = _Kernel(p)
+        cap, sol = kernel.cap, []
+        hit = [0] * cap  # hit[k]: splits hit more than k times
+        for i, hm in enumerate(list(kernel.masks())):
+            while cap and not hm & hit[-1]:
+                for k in range(cap - 1, 0, -1):
+                    hit[k] |= hit[k - 1] & hm
+                hit[0] |= hm
+                sol.append(i)
+                if not kernel.repeatable[i]:
+                    break
+        assert kernel.greedy() == sol, p
 
 
 def test_witnesses_are_pinned():
