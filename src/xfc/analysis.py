@@ -26,7 +26,8 @@ def tsets_colex(m: int, t: int):
 
 
 class TsetTable(namedtuple("TsetTable", "m t lam mu d")):
-    """mu and d map each t-set of [m] to its counts (see tset_table)."""
+    """mu and d map each t-set of [m], in colexicographic order, to its
+    counts (see tset_table)."""
 
     __slots__ = ()
 
@@ -35,10 +36,10 @@ class TsetTable(namedtuple("TsetTable", "m t lam mu d")):
         return self.mu[s] == 1 and self.d[s] == self.lam
 
     def missing_tsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s for s in tsets_colex(self.m, self.t) if self.mu[s] == 0)
+        return tuple(s for s, n in self.mu.items() if n == 0)
 
     def typical_tsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s for s in tsets_colex(self.m, self.t) if self.is_typical(s))
+        return tuple(s for s in self.mu if self.is_typical(s))
 
 
 def tset_table(A: BinMatrix, t: int, lam: int) -> TsetTable:
@@ -47,8 +48,8 @@ def tset_table(A: BinMatrix, t: int, lam: int) -> TsetTable:
     (d)."""
     if not 0 <= t <= A.m:
         raise ValueError(f"t={t} outside 0..{A.m}")
-    mu = {s: 0 for s in combinations(range(1, A.m + 1), t)}
-    d = {s: 0 for s in mu}
+    mu = dict.fromkeys(tsets_colex(A.m, t), 0)
+    d = dict.fromkeys(mu, 0)
     for c in A.cols:
         k = c.bit_count()
         if k == t:
@@ -98,28 +99,24 @@ def _per_row_counts(A: BinMatrix, t: int) -> dict[int, int]:
     return out
 
 
-def w_z_sets(A: BinMatrix, t: int, lam: int, rows_r) -> tuple[tuple, tuple]:
-    """Split the typical t-sets by the sum-(t+1) columns meeting a row set.
+def w_z_sets(A: BinMatrix, table: TsetTable, rows_r) -> tuple[tuple, tuple]:
+    """Split the typical t-sets by the sum-(t+1) columns meeting a row set,
+    on the t-set table of A.
 
     First element: t-sets S with some x such that S + x is a sum-(t+1)
     column carrying a 1 somewhere in rows_r.  Second: typical t-sets not
     of that kind.  Both in colexicographic order.
     """
-    return _w_z_sets(A, t, rows_r, tset_table(A, t, lam))
-
-
-def _w_z_sets(A: BinMatrix, t: int, rows_r, table: TsetTable) -> tuple[tuple, tuple]:
-    """w_z_sets on the t-set table of A, built once by the caller."""
     rows_r = sorted(set(rows_r))
     if any(r < 1 or r > A.m for r in rows_r):
         raise ValueError(f"rows outside 1..{A.m}: {rows_r}")
-    rmask = mask_of(rows_r)
+    rmask, t = mask_of(rows_r), table.t
     touched: set[tuple[int, ...]] = set()
     for c in A.cols:
         if c.bit_count() == t + 1 and c & rmask:
             touched.update(combinations(rows_of(c), t))
-    w = tuple(s for s in tsets_colex(A.m, t) if s in touched)
-    z = tuple(s for s in tsets_colex(A.m, t) if table.is_typical(s) and s not in touched)
+    w = tuple(s for s in table.mu if s in touched)
+    z = tuple(s for s in table.mu if table.is_typical(s) and s not in touched)
     return w, z
 
 
@@ -169,8 +166,8 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
         ),
         AuditCheck(
             "degree_cap",
-            next(({"tset": s, "d": table.d[s], "mu": table.mu[s]} for s in tsets_colex(A.m, t)
-                  if table.d[s] + table.mu[s] > lam + 1), None),
+            next(({"tset": s, "d": d, "mu": table.mu[s]} for s, d in table.d.items()
+                  if d + table.mu[s] > lam + 1), None),
             f"d(S) + mu(S) <= {lam + 1}",
         ),
         AuditCheck(
@@ -206,7 +203,7 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
     row_set = None
     if rows_r is not None:
         rows_r = sorted(set(rows_r))
-        w, z = _w_z_sets(A, t, rows_r, table)  # checks the rows before they become a mask
+        w, z = w_z_sets(A, table, rows_r)  # checks the rows before they become a mask
         rmask = mask_of(rows_r)
         a_r = sum(1 for c in A.cols if c.bit_count() == t + 1 and c & rmask)
         cap = len(rows_r) * row_cap

@@ -42,27 +42,15 @@ def _bound_json(name: str, bv) -> dict:
     }
 
 
-def _read_matrix_file(path: str):
-    from .matrix import MatrixFormatError, read_matrix
-
+def _read_file(path: str, parse, error: type[Exception]):
+    """parse(text of path); a read failure or an error from the parser
+    becomes a CliError naming the file."""
     try:
         with open(path) as fh:
-            return read_matrix(fh.read())
+            return parse(fh.read())
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
-    except MatrixFormatError as e:
-        raise CliError(f"{path}: {e}") from None
-
-
-def _read_design_file(path: str):
-    from .designs import DesignFormatError, read_design
-
-    try:
-        with open(path) as fh:
-            return read_design(fh.read())
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}") from None
-    except DesignFormatError as e:
+    except error as e:
         raise CliError(f"{path}: {e}") from None
 
 
@@ -118,7 +106,7 @@ def cmd_construct(args) -> int:
     from .constructions import (exceeder_construction, genl_equality_construction,
                                 q10_construction, small_m_pigeonhole_witness,
                                 split_1100_construction)
-    from .designs import lambda_fold, sts
+    from .designs import DesignFormatError, lambda_fold, read_design, sts
     from .matrix import complete_layer, layer_range
 
     kind = args.kind
@@ -133,7 +121,7 @@ def cmd_construct(args) -> int:
     elif kind == "genl-equality":
         _require(args, t=args.t, l=args.l, **{"lambda": args.lam}, m=args.m)
         if args.design:
-            d = _read_design_file(args.design)
+            d = _read_file(args.design, read_design, DesignFormatError)
         else:
             if args.t != 2:
                 raise CliError("built-in designs cover t=2 only; pass --design for other t")
@@ -180,14 +168,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_contains(args) -> int:
-    from .matrix import General, contains_config
+    from .matrix import General, MatrixFormatError, contains_config, read_matrix
 
-    A = _read_matrix_file(args.matrix)
+    A = _read_file(args.matrix, read_matrix, MatrixFormatError)
     if args.config is not None:
         config = _parse_block(args.config)
         desc = args.config
     else:
-        config = General(_read_matrix_file(args.config_file))
+        config = General(_read_file(args.config_file, read_matrix, MatrixFormatError))
         desc = args.config_file
     found = contains_config(config, A)
     if not args.quiet:
@@ -200,9 +188,9 @@ def cmd_contains(args) -> int:
 
 
 def cmd_verify_design(args) -> int:
-    from .designs import verify_design
+    from .designs import DesignFormatError, read_design, verify_design
 
-    d = _read_design_file(args.design)
+    d = _read_file(args.design, read_design, DesignFormatError)
     check = verify_design(d.blocks, d.m, d.k, d.t, d.lam)
     verdict = {
         "valid": check.ok,
@@ -279,8 +267,9 @@ def _report_json(report, include_witness: bool) -> dict:
 
 def cmd_analyze(args) -> int:
     from .analysis import lemma_audit
+    from .matrix import MatrixFormatError, read_matrix
 
-    A = _read_matrix_file(args.matrix)
+    A = _read_file(args.matrix, read_matrix, MatrixFormatError)
     rows = _parse_rows(args.rows) if args.rows is not None else None
     report = lemma_audit(A, args.t, args.l, args.lam, rows_r=rows)
     print(json.dumps(_report_json(report, args.witness)))

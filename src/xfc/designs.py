@@ -119,52 +119,15 @@ def lambda_fold(d: Design, c: int) -> Design:
     return Design(d.m, d.k, d.t, c * d.lam, d.blocks * c)
 
 
-def _bose_triples(n: int) -> list[tuple[int, int, int]]:
-    """Triple system on 6n+3 points from Z_{2n+1} x {0,1,2} with the
-    idempotent commutative quasigroup x*y = (x+y)(n+1) mod 2n+1."""
-    mod = 2 * n + 1
-
-    def pt(x: int, lvl: int) -> int:
-        return 3 * x + lvl + 1
-
-    def op(x: int, y: int) -> int:
-        return (x + y) * (n + 1) % mod
-
-    triples = [(pt(x, 0), pt(x, 1), pt(x, 2)) for x in range(mod)]
+def _quasigroup_triples(mod: int, op, lead) -> list[tuple[int, int, int]]:
+    """The leading triples, then for each x < y in Z_mod and each level the
+    triple (x, lvl), (y, lvl), (op(x, y), lvl + 1 mod 3) on Z_mod x {0,1,2},
+    point (x, lvl) numbered 3x + lvl + 1."""
+    triples = list(lead)
     for x in range(mod):
         for y in range(x + 1, mod):
             for lvl in range(3):
-                triples.append((pt(x, lvl), pt(y, lvl), pt(op(x, y), (lvl + 1) % 3)))
-    return triples
-
-
-def _skolem_triples(n: int) -> list[tuple[int, int, int]]:
-    """Triple system on 6n+1 points from Z_{2n} x {0,1,2} plus one extra
-    point, using a half-idempotent commutative quasigroup on Z_{2n}."""
-    mod = 2 * n
-    inf = 6 * n + 1
-
-    def pt(x: int, lvl: int) -> int:
-        return 3 * x + lvl + 1
-
-    # relabel Z_{2n} addition so the first n diagonal entries are fixed:
-    # h(2i) = i, h(2i+1) = n+i
-    h = [0] * mod
-    for i in range(n):
-        h[2 * i] = i
-        h[2 * i + 1] = n + i
-
-    def op(x: int, y: int) -> int:
-        return h[(x + y) % mod]
-
-    triples = [(pt(i, 0), pt(i, 1), pt(i, 2)) for i in range(n)]
-    for i in range(n):
-        for lvl in range(3):
-            triples.append((inf, pt(n + i, lvl), pt(i, (lvl + 1) % 3)))
-    for x in range(mod):
-        for y in range(x + 1, mod):
-            for lvl in range(3):
-                triples.append((pt(x, lvl), pt(y, lvl), pt(op(x, y), (lvl + 1) % 3)))
+                triples.append((3 * x + lvl + 1, 3 * y + lvl + 1, 3 * op(x, y) + (lvl + 1) % 3 + 1))
     return triples
 
 
@@ -172,15 +135,25 @@ def sts(m: int) -> Design:
     """A verified Steiner triple system: 2-(m, 3, 1) with m(m-1)/6 blocks.
 
     Exists exactly for m congruent to 1 or 3 mod 6; built by quasigroup
-    constructions over Z_{2n+1} (m = 6n+3) or Z_{2n} plus a point
-    (m = 6n+1), then checked.
+    constructions, then checked.  For m = 6n+3 (Bose) the points are
+    Z_{2n+1} x {0,1,2} with the idempotent commutative quasigroup
+    x*y = (x+y)(n+1) mod 2n+1.  For m = 6n+1 (Skolem) they are
+    Z_{2n} x {0,1,2} plus the point m, with the half-idempotent
+    commutative quasigroup h(x+y mod 2n), h(2i) = i and h(2i+1) = n+i,
+    which fixes the first n diagonal entries.
     """
     if m < 7 or not divisibility_check(2, 3, 1, m).ok:
         raise ValueError(f"no Steiner triple system on {m} points (need m = 1, 3 mod 6, m >= 7)")
+    n = m // 6
     if m % 6 == 3:
-        triples = _bose_triples((m - 3) // 6)
+        mod = 2 * n + 1
+        triples = _quasigroup_triples(mod, lambda x, y: (x + y) * (n + 1) % mod,
+                                      [(3 * x + 1, 3 * x + 2, 3 * x + 3) for x in range(mod)])
     else:
-        triples = _skolem_triples((m - 1) // 6)
+        mod = 2 * n
+        lead = [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(n)]
+        lead += [(m, 3 * (n + i) + lvl + 1, 3 * i + (lvl + 1) % 3 + 1) for i in range(n) for lvl in range(3)]
+        triples = _quasigroup_triples(mod, lambda x, y: (x + y) % mod // 2 + n * ((x + y) % 2), lead)
     d = Design(m, 3, 2, 1, tuple(triples))
     check = verify_design(d.blocks, m, 3, 2, 1)
     if not check.ok:

@@ -2,6 +2,9 @@
 
 A matrix is an ordered multiset of columns over rows 1..m.  Each column is
 stored as a packed bitmask (bit i-1 set <=> the column has a 1 in row i).
+``_row_strings`` is the one transposition from columns to rows: the text
+writer and the containment search read rows through it, and the text
+reader inverts it with one base-2 parse per column.
 Containment of blocks and general patterns, and maximum multiplicity, run
 one search over injective maps of the pattern's rows into A's rows.  All
 values are immutable named tuples, compared and hashed by their fields;
@@ -111,26 +114,30 @@ class BinMatrix(namedtuple("BinMatrix", "m cols")):
 
     def to_text(self) -> str:
         """Render in the matrix text format (see read_matrix)."""
-        lines = [f"{self.m} {self.ncols}"]
-        for r in range(self.m):
-            lines.append("".join("1" if c >> r & 1 else "0" for c in self.cols))
-        return "\n".join(lines) + "\n"
+        rows = [s[::-1] for s in _row_strings(self.m, self.cols)]
+        return "\n".join([f"{self.m} {self.ncols}", *rows]) + "\n"
 
 
 ColumnProfile = namedtuple("ColumnProfile", "a_t a_t1 a_higher histogram")
 
 
+def _layer(m: int, s: int) -> tuple[int, ...]:
+    """The C(m, s) column masks of sum s, in lexicographic order of their
+    1-position sets."""
+    if not 0 <= s <= m:
+        raise ValueError(f"sum {s} outside 0..{m}")
+    return tuple(map(sum, combinations([1 << r for r in range(m)], s)))
+
+
 def complete_layer(m: int, s: int) -> BinMatrix:
     """All C(m, s) distinct columns of sum s, in lexicographic order of
     their 1-position sets."""
-    if not 0 <= s <= m:
-        raise ValueError(f"sum {s} outside 0..{m}")
-    return BinMatrix(m, tuple(map(sum, combinations([1 << r for r in range(m)], s))))
+    return BinMatrix(m, _layer(m, s))
 
 
 def layer_range(m: int, sums) -> BinMatrix:
     """Concatenation of complete layers over the given sums, ascending."""
-    return BinMatrix(m, tuple(c for s in sorted(set(sums)) for c in complete_layer(m, s).cols))
+    return BinMatrix(m, tuple(c for s in sorted(set(sums)) for c in _layer(m, s)))
 
 
 class RowSplit(namedtuple("RowSplit", "ones zeros")):
@@ -319,17 +326,16 @@ def read_matrix(text: str) -> BinMatrix:
         raise MatrixFormatError(1, "m and n must be nonnegative")
     if len(lines) < m + 1:
         raise MatrixFormatError(len(lines) + 1, f"expected {m} row lines, got {len(lines) - 1}")
-    cols = [0] * n
-    for r in range(m):
-        row = lines[r + 1]
+    rows = lines[1:m + 1]
+    for r, row in enumerate(rows):
         if len(row) != n:
             raise MatrixFormatError(r + 2, f"expected {n} characters, got {len(row)}")
-        for j, ch in enumerate(row):
-            if ch == "1":
-                cols[j] |= 1 << r
-            elif ch != "0":
-                raise MatrixFormatError(r + 2, f"invalid character {ch!r}")
+        if bad := row.lstrip("01"):
+            raise MatrixFormatError(r + 2, f"invalid character {bad[0]!r}")
     for extra in range(m + 1, len(lines)):
         if lines[extra].strip():
             raise MatrixFormatError(extra + 1, "trailing non-empty line")
-    return BinMatrix(m, tuple(cols))
+    # the inverse of _row_strings: column j is every n-th digit from row m
+    # up to row 1, behind a 0 that gives the m = 0 columns a digit
+    bits = "0" * n + "".join(reversed(rows))
+    return BinMatrix(m, tuple(int(bits[j::n], 2) for j in range(n)))

@@ -8,8 +8,9 @@ t-ones/ell-zeros column iff every split (T, Z), disjoint row sets of
 sizes t and ell, is hit (ones on T, zeros on Z) by at most q-1 of its
 columns.  The search keeps, for each k up to q-1, the bitmask of splits
 hit at least k times, so feasibility of a candidate is one AND of its
-split mask (streamed to the greedy incumbent, kept only when a DFS runs)
-with the saturated set.
+split mask with the saturated set.  The masks are built once per run, as
+one stream: the greedy incumbent draws from it, and a DFS keeps what the
+greedy drew and draws the rest.
 
 With rows 0..m-1 and the colex rank sum_j C(r_j, j) of a subset
 {r_1 < ... < r_k}, split (T, Z) is bit W*rank(T) + rank(Z), W = C(m, ell).
@@ -84,11 +85,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 from operator import lshift, or_
 
-from .matrix import BinMatrix, Block, Configuration, General, contains_config
+from .matrix import BinMatrix, Block, Configuration, General, _layer, contains_config
 
 POLICIES = ("simple", "free", "paper")
 
@@ -173,8 +174,7 @@ def _layers(p: SearchProblem, limit: int, what: str) -> list[tuple[int, tuple[in
         n += comb(p.m, s)
         if n > limit:  # stop before the count itself grows huge
             raise ValueError(f"candidate columns exceed the {what} limit of {limit}")
-    rows = [1 << r for r in range(p.m)]
-    return [(s, tuple(map(sum, combinations(rows, s)))) for s in p.allowed_sums()]
+    return [(s, _layer(p.m, s)) for s in p.allowed_sums()]
 
 
 def _split_masks(m: int, t: int, ell: int, s: int):
@@ -225,8 +225,10 @@ class _Kernel:
         for s, w in weight.items():
             if not w and s not in unrep:
                 raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
-        # cols holds whole layers: one mask walk per sum that hits a split
-        self.layers = [(m, t, ell, s) for s, w in weight.items() if w]
+        # cols holds whole layers: one mask walk per sum that hits a split.
+        # masks holds the masks drawn so far from the stream, in cols order.
+        self.masks: list[int] = []
+        self.stream = chain.from_iterable(_split_masks(m, t, ell, s) for s, w in weight.items() if w)
         # the bound counts columns per weight class, lightest first; a
         # repeatable column stands for cap copies of its weight.  Columns of
         # one sum share weight, class and repeat kind, so the tables grow by
@@ -271,10 +273,6 @@ class _Kernel:
             total += c
         return total
 
-    def masks(self):
-        """Split masks of cols, in order, as a stream."""
-        return chain.from_iterable(_split_masks(*layer) for layer in self.layers)
-
     def greedy(self) -> list[int]:
         """First-fit incumbent in candidate order.  It stops once it holds
         root_bound columns: that bounds every feasible multiset, so no later
@@ -282,7 +280,8 @@ class _Kernel:
         levels, sol, bound = self.root_levels, [], self.root_bound
         if not bound:
             return sol
-        for i, hm in enumerate(self.masks()):
+        for i, hm in enumerate(self.stream):
+            self.masks.append(hm)
             while not hm & levels[-1]:
                 levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
                 sol.append(i)
@@ -304,7 +303,8 @@ class _Kernel:
         # rows where a run of ones starts; canonical iff all are cell starts
         runstart = [c & ~(c << 1) for c in cols]
         wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
-        masks = list(self.masks())
+        masks = self.masks
+        masks += self.stream  # the masks the greedy did not draw
         nclasses = len(self.class_weights)
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False

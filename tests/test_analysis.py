@@ -130,11 +130,12 @@ def test_audit_row_set_section():
 
 def test_w_z_sets_examples():
     A = design_plus_pairs(7)
-    w, z = w_z_sets(A, 2, 1, [1])
+    table = tset_table(A, 2, 1)
+    w, z = w_z_sets(A, table, [1])
     assert len(w) == 9 and len(z) == 12
-    w0, z0 = w_z_sets(A, 2, 1, [])
+    w0, z0 = w_z_sets(A, table, [])
     assert w0 == () and len(z0) == 21
-    wall, _ = w_z_sets(A, 2, 1, range(1, 8))
+    wall, _ = w_z_sets(A, table, range(1, 8))
     covered = set()
     for c in A.cols:
         if c.bit_count() == 3:
@@ -151,7 +152,7 @@ def test_w_size_bounded_by_column_contributions():
         t = rng.randint(1, m - 2)
         A = random_matrix(rng, m)
         rows = [r for r in range(1, m + 1) if rng.random() < 0.4]
-        w, _ = w_z_sets(A, t, 1, rows)
+        w, _ = w_z_sets(A, tset_table(A, t, 1), rows)
         rmask = mask_of(rows)
         a_r = sum(1 for c in A.cols if c.bit_count() == t + 1 and c & rmask)
         assert len(w) <= (t + 1) * a_r

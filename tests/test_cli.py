@@ -476,7 +476,6 @@ def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
 EXPORTS_WITHOUT_CALLERS = (
     ("block_support_count", "the per-split count the split-search brute-force tests compare against"),
     ("write_design", "the design text writer the round-trip and verify-design tests use"),
-    ("w_z_sets", "the row-set split of the t-sets; lemma_audit runs its helper on the table it has"),
 )
 
 

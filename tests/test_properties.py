@@ -2,7 +2,7 @@
 in files and in arguments."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xfc.cli import main
@@ -55,6 +55,64 @@ def malformed_texts(draw):
 def test_text_round_trip_property(A):
     B = read_matrix(A.to_text())
     assert (B.m, B.cols) == (A.m, A.cols)
+
+
+def reference_text(A):
+    """The matrix text format, written one bit at a time."""
+    rows = ["".join("1" if c >> r & 1 else "0" for c in A.cols) for r in range(A.m)]
+    return "\n".join([f"{A.m} {A.ncols}", *rows]) + "\n"
+
+
+def reference_read(text):
+    """The (m, cols) of matrix text whose header is well formed and whose
+    row lines are all there, or the (line, message) of its first bad row,
+    read one character at a time: each row's length, then its characters."""
+    lines = text.splitlines()
+    m, n = map(int, lines[0].split())
+    cols = [0] * n
+    for r in range(m):
+        row = lines[r + 1]
+        if len(row) != n:
+            return r + 2, f"expected {n} characters, got {len(row)}"
+        for j, ch in enumerate(row):
+            if ch == "1":
+                cols[j] |= 1 << r
+            elif ch != "0":
+                return r + 2, f"invalid character {ch!r}"
+    return m, tuple(cols)
+
+
+# a row defect: none, one character short or long, or a character that
+# may be bad in the first or the last position or in both (an empty row
+# becomes long)
+ROW_CHARS = BAD_CHARS | st.sampled_from("01")
+ROW_DEFECTS = st.lists(st.tuples(st.sampled_from(("none", "short", "long", "first", "last", "ends")),
+                                 ROW_CHARS, ROW_CHARS), max_size=8)
+
+
+@deterministic
+@given(matrices(), ROW_DEFECTS)
+@example(BinMatrix(0, (0, 0, 0)), [])
+@example(BinMatrix(3, ()), [("none", "x", "y"), ("first", "x", "y")])
+@example(BinMatrix(2, (1, 2, 3)), [("long", "x", "y"), ("first", "x", "y")])
+@example(BinMatrix(2, (1, 2, 3)), [("last", "2", "y"), ("short", "0", "y")])
+@example(BinMatrix(1, (1, 0, 1)), [("ends", "x", "y")])
+def test_text_matches_per_bit_reference(A, defects):
+    text = A.to_text()
+    assert text == reference_text(A)
+    lines = text.splitlines()
+    for r, (kind, ch, last) in zip(range(1, A.m + 1), defects):
+        row = lines[r]
+        lines[r] = {"none": row, "short": row[:-1], "long": row + ch, "first": ch + row[1:],
+                    "last": row[:-1] + last, "ends": ch + row[1:-1] + last}[kind]
+    text = "\n".join(lines) + "\n"
+    want = reference_read(text)
+    if isinstance(want[1], tuple):
+        assert read_matrix(text) == BinMatrix(*want)
+    else:
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix(text)
+        assert (err.value.line, str(err.value)) == (want[0], f"line {want[0]}: {want[1]}")
 
 
 @deterministic

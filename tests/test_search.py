@@ -322,15 +322,21 @@ def test_search_wide_regime():
         assert verify_witness(p, r.witness)
 
 
-def test_greedy_stops_drawing_masks_at_the_root_bound(monkeypatch):
-    drawn = []
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every split mask the search builds, recorded as it is drawn."""
+    out = []
 
     def counted(*layer):
         for hm in _split_masks(*layer):
-            drawn.append(hm)
+            out.append(hm)
             yield hm
 
     monkeypatch.setattr(xfc.search, "_split_masks", counted)
+    return out
+
+
+def test_greedy_stops_drawing_masks_at_the_root_bound(drawn):
     # search-wide: the greedy meets the root bound after a few hundred of
     # 4,070 to 8,177 candidates, and no DFS builds the rest
     for (m, block), want in zip(SEARCH_WIDE, (66, 78, 286, 286)):
@@ -343,6 +349,19 @@ def test_greedy_stops_drawing_masks_at_the_root_bound(monkeypatch):
     drawn.clear()
     assert (len(kernel.greedy()), kernel.root_bound) == (28, 29)
     assert len(drawn) == len(kernel.cols) == 119
+
+
+def test_each_mask_is_built_once_per_run(drawn):
+    # search-deep: the greedy falls short of the root bound, so a DFS runs;
+    # it keeps the masks the greedy drew and draws the rest of one stream
+    for p, want in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 25),
+                    (SearchProblem(6, Block(3, 2, 1), policy="paper"), 56),
+                    (SearchProblem(7, Block(3, 2, 1), policy="paper"), 119),
+                    (SearchProblem(7, Block(2, 2, 1), sums=frozenset(range(3, 7)), policy="free"), 98)):
+        drawn.clear()
+        r = exact_max(p)
+        assert r.proof_of_optimality and r.nodes > 1, p
+        assert len(drawn) == want == len(_Kernel(p).cols), p
 
 
 TABLE_PROBLEMS = (SearchProblem(5, Block(3, 2, 1), policy="paper"),
@@ -374,12 +393,18 @@ def test_layer_tables_match_per_column_derivation():
 
 def test_greedy_equals_unstopped_first_fit():
     # the stop at the root bound changes how many masks are built, never
-    # which candidates the greedy takes
+    # which candidates the greedy takes; the masks it drew and the rest of
+    # the stream are every mask of the walk, in candidate order
     for p in TABLE_PROBLEMS + tuple(SearchProblem(m, block) for m, block in SEARCH_WIDE):
         kernel = _Kernel(p)
+        greedy = kernel.greedy()
+        masks = kernel.masks + list(kernel.stream)
+        t, ell = p.config.t, p.config.ell
+        assert masks == [hm for s in p.allowed_sums() if comb(s, t) * comb(p.m - s, ell)
+                         for hm in _split_masks(p.m, t, ell, s)], p
         cap, sol = kernel.cap, []
         hit = [0] * cap  # hit[k]: splits hit more than k times
-        for i, hm in enumerate(list(kernel.masks())):
+        for i, hm in enumerate(masks):
             while cap and not hm & hit[-1]:
                 for k in range(cap - 1, 0, -1):
                     hit[k] |= hit[k - 1] & hm
@@ -387,7 +412,7 @@ def test_greedy_equals_unstopped_first_fit():
                 sol.append(i)
                 if not kernel.repeatable[i]:
                     break
-        assert kernel.greedy() == sol, p
+        assert greedy == sol, p
 
 
 def test_witnesses_are_pinned():
