@@ -107,17 +107,26 @@ def w_z_sets(A: BinMatrix, table: TsetTable, rows_r) -> tuple[tuple, tuple]:
     column carrying a 1 somewhere in rows_r.  Second: typical t-sets not
     of that kind.  Both in colexicographic order.
     """
+    return _row_set(A, table, rows_r)[2:]
+
+
+def _row_set(A: BinMatrix, table: TsetTable, rows_r):
+    """(R sorted, a^R, W, Z) in one pass over the sum-(t+1) columns
+    meeting R, the rows checked before they become a mask; W and Z as in
+    w_z_sets."""
     rows_r = sorted(set(rows_r))
     if any(r < 1 or r > A.m for r in rows_r):
         raise ValueError(f"rows outside 1..{A.m}: {rows_r}")
     rmask, t = mask_of(rows_r), table.t
     touched: set[tuple[int, ...]] = set()
+    a_r = 0
     for c in A.cols:
         if c.bit_count() == t + 1 and c & rmask:
+            a_r += 1
             touched.update(combinations(rows_of(c), t))
     w = tuple(s for s in table.mu if s in touched)
     z = tuple(s for s in table.mu if table.is_typical(s) and s not in touched)
-    return w, z
+    return rows_r, a_r, w, z
 
 
 def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> AnalysisReport:
@@ -133,6 +142,11 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
       per_row_cap         a^r <= (lam+1)/t * C(m-1, t-1) for every row
       zero_count_floor    every column has at least lam+ell zeros
       row_set_cap         (only with rows_r) a^R <= |R| * per-row cap
+
+    incidence_sum is a double-counting identity, not a hypothesis:
+    tset_table adds one to d(S) for each of the t+1 t-subsets of every
+    sum-(t+1) column, so it holds on every matrix and can fail only if that
+    table is miscounted.
     """
     if not 1 <= t <= A.m:
         raise ValueError(f"t={t} outside 1..{A.m}")
@@ -202,10 +216,7 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
 
     row_set = None
     if rows_r is not None:
-        rows_r = sorted(set(rows_r))
-        w, z = w_z_sets(A, table, rows_r)  # checks the rows before they become a mask
-        rmask = mask_of(rows_r)
-        a_r = sum(1 for c in A.cols if c.bit_count() == t + 1 and c & rmask)
+        rows_r, a_r, w, z = _row_set(A, table, rows_r)
         cap = len(rows_r) * row_cap
         note = ""
         if len(rows_r) >= lam + ell:

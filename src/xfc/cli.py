@@ -167,16 +167,20 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _config(args):
+    """The pattern of --config or --config-file, and the flag's value."""
+    if args.config is not None:
+        return _parse_block(args.config), args.config
+    from .matrix import General, MatrixFormatError, read_matrix
+
+    return General(_read_file(args.config_file, read_matrix, MatrixFormatError)), args.config_file
+
+
 def cmd_contains(args) -> int:
-    from .matrix import General, MatrixFormatError, contains_config, read_matrix
+    from .matrix import MatrixFormatError, contains_config, read_matrix
 
     A = _read_file(args.matrix, read_matrix, MatrixFormatError)
-    if args.config is not None:
-        config = _parse_block(args.config)
-        desc = args.config
-    else:
-        config = General(_read_file(args.config_file, read_matrix, MatrixFormatError))
-        desc = args.config_file
+    config, desc = _config(args)
     found = contains_config(config, A)
     if not args.quiet:
         if args.json:
@@ -279,7 +283,7 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     from .search import SearchProblem, exact_max
 
-    config = _parse_block(args.config)
+    config, _ = _config(args)
     sums = _parse_sums(args.sums, args.m) if args.sums else None
     problem = SearchProblem(args.m, config, sums=sums, policy=args.policy,
                             node_budget=args.budget_nodes)
@@ -325,6 +329,12 @@ def cmd_audit(args) -> int:
     return 0 if ok else NEGATIVE
 
 
+def _add_pattern(p: argparse.ArgumentParser) -> None:
+    pattern = p.add_mutually_exclusive_group(required=True)
+    pattern.add_argument("--config", type=str, default=None, help="block pattern as q,t,l")
+    pattern.add_argument("--config-file", type=str, default=None, help="general pattern matrix file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xfc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -347,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("contains", help="decide configuration containment")
-    pattern = p.add_mutually_exclusive_group(required=True)
-    pattern.add_argument("--config", type=str, default=None, help="block pattern as q,t,l")
-    pattern.add_argument("--config-file", type=str, default=None, help="general pattern matrix file")
+    _add_pattern(p)
     p.add_argument("--matrix", type=str, required=True)
     p.add_argument("--quiet", action="store_true", help="no output; exit 1 when not contained")
     p.add_argument("--json", action="store_true")
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact extremal value by branch and bound")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--config", type=str, required=True, help="block pattern as q,t,l")
+    _add_pattern(p)
     p.add_argument("--sums", type=str, default=None, help="e.g. 3..6 or 0,1,2")
     p.add_argument("--policy", choices=["simple", "free", "paper"], default="simple")
     p.add_argument("--budget-nodes", type=int, default=None)

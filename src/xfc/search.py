@@ -75,10 +75,17 @@ are those of the unrestricted search.
 The exhaustive oracle below shares none of this machinery.  It is the
 subset search for general patterns: containment only grows when columns
 are added, so a depth-first search that extends only pattern-free sets,
-in candidate order, meets every pattern-free set, and each extension is
-decided by the row-map search of ``xfc.matrix``, which the witness
-replay runs too.  Its ``nodes`` count the sets visited, not the 2^n
-subsets of the candidates.
+in candidate order, meets every pattern-free set that could still beat
+the best, and each extension is decided by the row-map search of
+``xfc.matrix``, which the witness replay runs too.  As in the clique
+search above, each set carries its free list: the later candidates that
+keep it pattern-free.  A child's list is its parent's after the child's
+column, less the members that now complete the pattern, so a candidate
+is never tested again against a set it was compatible with.  A set with
+its list bounds its descendants at len(set) + len(list) columns, and a
+set, or a child still being filtered, stops once that cannot beat the
+best.  Its ``nodes`` count the sets visited, not the 2^n subsets of the
+candidates.
 """
 
 from __future__ import annotations
@@ -362,32 +369,58 @@ def exact_max(p: SearchProblem) -> SearchResult:
     """Maximum column count over matrices satisfying the problem, with a
     witness.  Optimality is proven unless the node budget runs out."""
     if isinstance(p.config, General):
-        return _exact_max_general(p, p.node_budget)
-    kernel = _Kernel(p)
-    greedy_sol = kernel.greedy()
-    best_sol, nodes, exhausted = kernel.solve(len(greedy_sol), p.node_budget)
-    if best_sol is None:
-        best_sol = greedy_sol
-    witness = BinMatrix(p.m, tuple(kernel.free_cols) + tuple(kernel.cols[i] for i in best_sol))
-    if not verify_witness(p, witness):
+        result = _exact_max_general(p, p.node_budget)
+    else:
+        kernel = _Kernel(p)
+        greedy_sol = kernel.greedy()
+        best_sol, nodes, exhausted = kernel.solve(len(greedy_sol), p.node_budget)
+        if best_sol is None:
+            best_sol = greedy_sol
+        witness = BinMatrix(p.m, tuple(kernel.free_cols) + tuple(kernel.cols[i] for i in best_sol))
+        result = SearchResult(witness, nodes, not exhausted)
+    if not verify_witness(p, result.witness):
         raise RuntimeError("search witness fails the independent constraint replay")
-    return SearchResult(witness, nodes, not exhausted)
+    return result
 
 
 def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResult:
     """Subset search for general patterns, and for blocks too in the
-    exhaustive oracle: extend pattern-free sets in candidate order, testing
-    every extension with contains_config.  At most 24 candidates."""
+    exhaustive oracle.  At most 24 candidates.
+
+    Each visited set cur, pattern-free, carries its free list: the later
+    candidates c, in candidate order, with cur + (c,) pattern-free by
+    contains_config.  The root's list is the candidates pattern-free on
+    their own.  A child cur + (c,) is pattern-free by its parent's test,
+    and its list is the parent's list after c less the members that now
+    complete the pattern, one contains_config call each: a candidate that
+    completes the pattern with a set completes it with every superset, so
+    no dropped candidate could return deeper down.  A set and its
+    descendants have at most len(cur) + len(list) columns, so a node stops
+    once that many, counted from the next child on, cannot beat the best
+    set found, and a child's filtering stops, the child unvisited, once its
+    columns, the members kept and those not yet tested cannot.  ``nodes``
+    counts the sets visited, the root included."""
     if p.policy != "simple":
         raise ValueError("general-pattern search supports only the simple policy")
     if contains_config(p.config, BinMatrix(p.m, ())):
         raise ValueError("every matrix contains the empty pattern; no maximum exists")
-    cand = tuple(chain.from_iterable(layer for _, layer in _layers(p, 24, "general-pattern search")))
+    cand = list(chain.from_iterable(layer for _, layer in _layers(p, 24, "general-pattern search")))
     best: tuple[int, ...] = ()
     nodes = 0
     exhausted = False
 
-    def dfs(start: int, cur: tuple[int, ...]) -> None:
+    def free_list(cur: tuple[int, ...], rest: list[int]) -> list[int] | None:
+        """The members of rest that keep cur pattern-free, or None once
+        cur and its extensions by rest cannot beat the best."""
+        kept: list[int] = []
+        for j, c in enumerate(rest):
+            if len(cur) + len(kept) + len(rest) - j <= len(best):
+                return None
+            if not contains_config(p.config, BinMatrix(p.m, cur + (c,))):
+                kept.append(c)
+        return kept if len(cur) + len(kept) > len(best) else None
+
+    def dfs(cur: tuple[int, ...], free: list[int]) -> None:
         nonlocal best, nodes, exhausted
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -395,24 +428,28 @@ def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResul
             return
         if len(cur) > len(best):
             best = cur
-        if len(cur) + (len(cand) - start) <= len(best):
-            return
-        for i in range(start, len(cand)):
-            ext = cur + (cand[i],)
-            if not contains_config(p.config, BinMatrix(p.m, ext)):
-                dfs(i + 1, ext)
-            if exhausted:
+        for k, c in enumerate(free):
+            if len(cur) + len(free) - k <= len(best):
                 return
+            ext = cur + (c,)
+            child = free_list(ext, free[k + 1:])
+            if child is not None:
+                dfs(ext, child)
+                if exhausted:
+                    return
 
-    dfs(0, ())
+    dfs((), free_list((), cand) or [])  # the root is visited even with no free candidate
     return SearchResult(BinMatrix(p.m, best), nodes, not exhausted)
 
 
 def exhaustive_oracle(p: SearchProblem) -> SearchResult:
     """Optimum by the general-pattern subset search, without a node budget;
     validation-only.  Requires the simple policy and at most 24 candidates.
-    The search extends only pattern-free sets, which reaches all of them
-    since a superset of a containing set contains the pattern too, and
-    ``nodes`` counts the sets it visits.  Containment goes through the
-    row-map search of contains_config, not the split-count kernel."""
+    The search extends only pattern-free sets, which reaches every one that
+    could still beat the best since a superset of a containing set contains
+    the pattern too.  Each set carries the free list of later candidates
+    that keep it pattern-free, and a set whose size plus its list's length
+    cannot beat the best is not visited; ``nodes`` counts the sets visited.
+    Containment goes through the row-map search of contains_config, not
+    the split-count kernel."""
     return _exact_max_general(p, None)

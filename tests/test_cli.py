@@ -331,6 +331,26 @@ def test_search_subcommand(capsys, tmp_path):
     assert code == 0 and json.loads(out)["proof_of_optimality"] is False
 
 
+def test_search_general_pattern_file(capsys, tmp_path):
+    pat, wit = tmp_path / "p.mat", tmp_path / "w.mat"
+    pat.write_text("2 2\n10\n01\n")
+    code, out, err = run(capsys, "search", "--m", "4", "--config-file", str(pat),
+                         "--witness-out", str(wit))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"optimum": 5, "nodes": 24, "proof_of_optimality": True,
+                               "witness_ncols": 5}
+    assert read_matrix(wit.read_text()).ncols == 5
+    # the paper policy needs a block, and at m = 5 there are 32 > 24 candidates
+    for argv in (["--m", "4", "--policy", "paper"], ["--m", "5"]):
+        code, out, err = run(capsys, "search", "--config-file", str(pat), *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+    for flags in ([], ["--config", "2,1,1", "--config-file", str(pat)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--m", "4", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_search_negative_budget_is_usage_error(capsys):
     argv = ["search", "--m", "7", "--config", "2,2,1", "--sums", "3", "--policy", "free"]
     code, out, err = run(capsys, *argv, "--budget-nodes", "-1")
@@ -443,11 +463,14 @@ def test_contains_without_zeros_rows_is_fast(capsys, tmp_path):
     assert code == 1 and out == ""
 
 
-def test_search_internal_failure_exit_code(capsys, monkeypatch):
+def test_search_internal_failure_exit_code(capsys, monkeypatch, tmp_path):
+    pat = tmp_path / "p.mat"
+    pat.write_text("2 2\n10\n01\n")
     monkeypatch.setattr(xfc.search, "verify_witness", lambda p, A: False)
-    code, out, err = run(capsys, "search", "--m", "3", "--config", "2,1,1")
-    assert code == 3 and out == ""
-    assert "internal error" in err and "replay" in err
+    for flags in (["--config", "2,1,1"], ["--config-file", str(pat)]):
+        code, out, err = run(capsys, "search", "--m", "3", *flags)
+        assert code == 3 and out == ""
+        assert "internal error" in err and "replay" in err
 
 
 def test_package_has_no_assert_statements():
@@ -464,6 +487,20 @@ def test_package_has_no_assert_statements():
         assert not raised, f"{path.name}: raise AssertionError on line(s) {raised}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--m", "5", "--config", "3,2,1", "--policy", "paper"],
+    ["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7", "--meta"],
+])
+def test_optimized_interpreter_gives_the_same_output(argv):
+    # -O strips asserts: the search and its replay, and a construction and
+    # its self-check, must answer the same without them
+    env = dict(os.environ, PYTHONPATH=str(Path(xfc.__file__).parents[1]))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "xfc.cli", *argv], capture_output=True,
+                           text=True, env=env) for flags in ([], ["-O"])]
+    assert runs[0].returncode == 0 and runs[0].stdout
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
 def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr("xfc.designs.verify_design", lambda *args: DesignCheck(((1, 2), 0)))
     code, out, err = run(capsys, "construct", "genl-equality", "--t", "2", "--l", "1",
@@ -476,6 +513,7 @@ def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
 EXPORTS_WITHOUT_CALLERS = (
     ("block_support_count", "the per-split count the split-search brute-force tests compare against"),
     ("write_design", "the design text writer the round-trip and verify-design tests use"),
+    ("w_z_sets", "the W/Z split of a row set; lemma_audit counts a^R in the same pass"),
 )
 
 

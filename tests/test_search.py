@@ -132,14 +132,28 @@ def test_oracle_matches_subset_brute_force():
             for t in range(m + 1):
                 for ell in range(m - t + 1):
                     problems.append(SearchProblem(m, Block(q, t, ell)))
+    # m = 4 with at most 10 candidates, where the free lists and the bound
+    # prune most of the sets
+    for sums in (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})):
+        for q in (1, 2, 3):
+            for t in range(5):
+                for ell in range(5 - t):
+                    if t or ell:
+                        problems.append(SearchProblem(4, Block(q, t, ell), sums=sums))
     for p in problems:
         assert exhaustive_oracle(p).optimum == brute_optimum(p), p
 
 
-def test_oracle_visits_only_pattern_free_sets():
-    r = exhaustive_oracle(SearchProblem(4, Block(2, 1, 1)))
-    assert r.optimum == 6
-    assert r.nodes <= 1_000  # the sweep over all 2^16 subsets decoded 55,655 of them
+def test_oracle_visits_only_pattern_free_sets(monkeypatch):
+    # the benchmark's two oracle instances: optimum, sets visited and
+    # containment calls, the empty-pattern check included
+    made = []
+    contains = xfc.search.contains_config
+    monkeypatch.setattr(xfc.search, "contains_config", lambda c, A: made.append(A) or contains(c, A))
+    for m, sums, pinned in ((4, None, (6, 13, 233)), (5, frozenset({1, 2}), (5, 15, 214))):
+        made.clear()
+        r = exhaustive_oracle(SearchProblem(m, Block(2, 1, 1), sums=sums))
+        assert (r.optimum, r.nodes, len(made)) == pinned, (m, sums)
 
 
 def test_oracle_agreement_sum_restricted_m4():
@@ -152,6 +166,22 @@ def test_oracle_agreement_sum_restricted_m4():
                         continue
                     p = SearchProblem(4, Block(q, t, ell), sums=sums)
                     assert exact_max(p).optimum == exhaustive_oracle(p).optimum, (sums, q, t, ell)
+
+
+# m = 5 instances within the 24-candidate cap, under a second in all:
+# sums -> the largest q swept.  Sums {2,3} at q = 3 and {1,2,4} at q >= 2
+# take over a second each and are left out.
+M5_ORACLE_SWEEP = {(2, 3): 2, (1, 2, 4): 1, (1, 4): 3, (1, 3): 3, (0, 2, 5): 3}
+
+
+def test_oracle_agreement_sum_restricted_m5():
+    for sums, max_q in M5_ORACLE_SWEEP.items():
+        for q in range(1, max_q + 1):
+            for t in range(6):
+                for ell in range(6 - t):
+                    if t or ell:
+                        p = SearchProblem(5, Block(q, t, ell), sums=frozenset(sums))
+                        assert exact_max(p).optimum == exhaustive_oracle(p).optimum, (sums, q, t, ell)
 
 
 def test_repeat_policy_small_m_probe():
@@ -241,6 +271,19 @@ def test_general_pattern_search_tiny():
     r = exact_max(p)
     assert r.optimum == exhaustive_oracle(p).optimum == 4  # a chain plus the complement chain top
     assert r.proof_of_optimality
+
+
+def test_general_pattern_node_budget():
+    pattern = General(BinMatrix.from_columns(2, [(1,), (2,)]))
+    full = exact_max(SearchProblem(4, pattern))
+    assert (full.optimum, full.nodes, full.proof_of_optimality) == (5, 24, True)
+    for budget in (0, 3, 23):
+        r = exact_max(SearchProblem(4, pattern, node_budget=budget))
+        assert (r.nodes, r.proof_of_optimality) == (budget + 1, False)
+        assert r.optimum <= 5 and verify_witness(SearchProblem(4, pattern), r.witness)
+    for budget in (24, 1_000):
+        r = exact_max(SearchProblem(4, pattern, node_budget=budget))
+        assert (r.optimum, r.nodes, r.proof_of_optimality) == (5, 24, True)
 
 
 def test_general_pattern_rejects_nonsimple_policy():
