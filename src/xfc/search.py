@@ -57,6 +57,29 @@ most floor(budget / least remaining weight), the bound that counts every
 split.  With an incumbent at least as large, the tree searched is a
 subtree of that bound's tree.
 
+The knapsack pools the splits of every t-set into one budget, while the
+paper's bound argues per t-set, so a frame also keeps each t-set's room:
+the sum, over the C(m-t, ell) splits (T, Z), of cap minus the count of
+(T, Z), which is cap * C(m-t, ell) at the root.  A column of sum s takes
+u = C(m-s, ell) of the room of each of its C(s, t) t-sets, so a completion
+adds at most floor(room(T) / u) sum-s columns through T, and at most
+floor(sum_T floor(room(T) / u) / C(s, t)) in all, since each holds C(s, t)
+t-sets.  A child that passes the knapsack is tested again by the
+knapsack with each class capped so, from the child's own room, taking the
+least u and the least C(s, t) over the sums of the class.  The frame
+keeps that double sum per class too, so a child's caps change only over
+the t-sets of its own column.  This is the floor per point of
+Schonheim's packing bound (1966): at paper m = 7 a pair whose own
+column is chosen keeps a room of 10 - 5 = 5, enough for one triple
+(u = 4) through it, where with 20 of the 21 pair columns chosen the
+pooled budget still allows 8.75 triples.  The cap cuts only
+subtrees that cannot beat the best, and the search meets the same
+improvements in the same order, so the optima, proofs and witnesses are
+those of the uncapped search: paper 3,2,1 is proven in 138 nodes at
+m = 7 (633 uncapped), 181,980 at m = 8 (1,272,746) and 3,892 at m = 9
+(96,492).  A candidate's t-set ranks are built the first time a child
+test needs them, so a run that ends at the root builds none.
+
 Row symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks and
 Roy, KR 1996).  Rows that agree on every chosen column form a cell.  In
 the candidate order, a column is least in its orbit under the row
@@ -92,7 +115,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 from operator import lshift, or_
 
@@ -224,6 +247,7 @@ class _Kernel:
         width = comb(m, t) * zwidth
         if width > MAX_MASK_BITS:
             raise ValueError(f"split masks exceed the search limit of {MAX_MASK_BITS} bits")
+        self.m, self.t, self.ell = m, t, ell
         self.cap = cfg.q - 1
         self.nsplits = comb(m, t) * comb(max(m - t, 0), ell)
         self.full = (1 << m) - 1
@@ -242,6 +266,11 @@ class _Kernel:
         # whole layers.
         self.class_weights = sorted({w for w in weight.values() if w})
         index = {w: k for k, w in enumerate(self.class_weights)}
+        # per class, lowered to the least over its sums below: the room a
+        # column takes from each t-set it contains, C(m-s, ell), and the
+        # count of those, C(s, t)
+        self.class_drop = [comb(m, ell)] * len(self.class_weights)
+        self.class_tsets = [comb(m, t)] * len(self.class_weights)
         # columns that hit no split are always addable, once each
         self.free_cols, self.cols = [], []
         self.repeatable, self.wclass, self.units = [], [], []
@@ -257,10 +286,14 @@ class _Kernel:
             self.wclass += [k] * n
             self.units += [u] * n
             self.root_counts[k] += n * u
+            self.class_drop[k] = min(self.class_drop[k], comb(m - s, ell))
+            self.class_tsets[k] = min(self.class_tsets[k], comb(s, t))
         # no path is longer than the root bound; each frame holds q level
-        # masks and a list of at most len(cols) candidate indices
+        # masks, a list of at most len(cols) candidate indices, the room
+        # left on each of the C(m, t) t-sets and one count per class
         self.root_bound = depth = self.knapsack(self.root_counts, self.cap * self.nsplits)
-        if depth * (cfg.q * (width // 8 + 36) + 8 * len(self.cols) + 56) > MAX_STACK_BYTES:
+        frame = cfg.q * (width // 8 + 36) + 8 * (len(self.cols) + comb(m, t) + len(self.class_weights)) + 56
+        if depth * frame > MAX_STACK_BYTES:
             raise ValueError(f"a {depth}-deep stack of {cfg.q} masks per frame exceeds "
                              f"the search limit of {MAX_STACK_BYTES} bytes")
         # levels[k]: splits hit by at least k chosen columns; levels[cap] is
@@ -279,6 +312,31 @@ class _Kernel:
             budget -= c * w
             total += c
         return total
+
+    def capped(self, counts: list[int], budget: int, room: list[int], fits: list[int],
+               drop: int, ranks: list[int]) -> int:
+        """The child's knapsack with each class capped at the columns its
+        t-sets can still take.  The child's column takes drop of the room
+        of each t-set in ranks; room and fits are the parent's, fits[k]
+        being sum_T floor(room[T] / class_drop[k]), and class k is capped
+        at the child's fits[k] over class_tsets[k]."""
+        total = 0
+        for w, c, d, per, f in zip(self.class_weights, counts, self.class_drop, self.class_tsets, fits):
+            if c:
+                f -= sum(room[r] // d - (room[r] - drop) // d for r in ranks)
+                c = min(c, f // per)
+                if c * w > budget:
+                    return total + budget // w
+                budget -= c * w
+                total += c
+        return total
+
+    def tset_ranks(self, i: int) -> tuple[int, list[int]]:
+        """The room column i takes from each t-set it contains, and the
+        colex ranks of those t-sets."""
+        rows = [r for r in range(self.m) if self.cols[i] >> r & 1]
+        ranks = [sum(comb(r, j) for j, r in enumerate(T, 1)) for T in combinations(rows, self.t)]
+        return comb(self.m - len(rows), self.ell), ranks
 
     def greedy(self) -> list[int]:
         """First-fit incumbent in candidate order.  It stops once it holds
@@ -313,14 +371,20 @@ class _Kernel:
         masks = self.masks
         masks += self.stream  # the masks the greedy did not draw
         nclasses = len(self.class_weights)
+        drops, capped = self.class_drop, self.capped
+        tsets = [None] * len(cols)  # (drop, ranks) per candidate, built on first use
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False
         cur: list[int] = []
         # per node: its feasible candidates in order, the position of the
         # next child, the class counts of cands[pos:], the row cell starts,
-        # the level masks and the split budget (cap * nsplits at the root)
+        # the level masks, the split budget (cap * nsplits at the root),
+        # each t-set's room, the sum over its splits of cap minus the count,
+        # and per class k, sum_T floor(room[T] / drops[k])
         cands, pos, counts = list(range(len(cols))), 0, self.root_counts.copy()
         bounds, levels, budget = 1, self.root_levels, cap * self.nsplits
+        room = [cap * comb(self.m - self.t, self.ell)] * comb(self.m, self.t)
+        fits = [len(room) * (room[0] // d) for d in drops]
         stack: list[tuple] = []
         while True:
             depth, outside = len(cur), ~bounds
@@ -340,13 +404,15 @@ class _Kernel:
                     # only splits in live can still be hit, each cap - count times
                     cbudget = sum((live & ~lk).bit_count() for lk in lv[1:])
                     if depth + 1 + knapsack(ccounts, cbudget) > best_n:
-                        break
+                        drop, ranks = tsets[i] = tsets[i] or self.tset_ranks(i)
+                        if depth + 1 + capped(ccounts, cbudget, room, fits, drop, ranks) > best_n:
+                            break
                 counts[wclass[i]] -= units[i]
                 pos += 1
             else:  # no child left here, or the bound cuts the rest of the node
                 if not stack:
                     break
-                cands, pos, counts, bounds, levels, budget = stack.pop()
+                cands, pos, counts, bounds, levels, budget, room, fits = stack.pop()
                 i = cur.pop()
                 counts[wclass[i]] -= units[i]
                 pos += 1
@@ -355,7 +421,11 @@ class _Kernel:
             if node_budget is not None and nodes > node_budget:
                 exhausted = True
                 break
-            stack.append((cands, pos, counts, bounds, levels, budget))
+            stack.append((cands, pos, counts, bounds, levels, budget, room, fits))
+            fits = [f - sum(room[r] // d - (room[r] - drop) // d for r in ranks) for f, d in zip(fits, drops)]
+            room = room.copy()
+            for r in ranks:
+                room[r] -= drop
             cur.append(i)
             x = cols[i]
             cands, pos, counts, levels, budget = child, 0, ccounts, lv, cbudget
@@ -399,7 +469,9 @@ def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResul
     once that many, counted from the next child on, cannot beat the best
     set found, and a child's filtering stops, the child unvisited, once its
     columns, the members kept and those not yet tested cannot.  ``nodes``
-    counts the sets visited, the root included."""
+    counts the sets visited, the root included.  The root's list is built
+    once the root is counted, so a budget of 0 makes no call past the
+    empty-pattern check."""
     if p.policy != "simple":
         raise ValueError("general-pattern search supports only the simple policy")
     if contains_config(p.config, BinMatrix(p.m, ())):
@@ -420,12 +492,14 @@ def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResul
                 kept.append(c)
         return kept if len(cur) + len(kept) > len(best) else None
 
-    def dfs(cur: tuple[int, ...], free: list[int]) -> None:
+    def dfs(cur: tuple[int, ...], free: list[int] | None) -> None:
         nonlocal best, nodes, exhausted
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             exhausted = True
             return
+        if free is None:  # the root, visited even with no free candidate
+            free = free_list((), cand) or []
         if len(cur) > len(best):
             best = cur
         for k, c in enumerate(free):
@@ -438,7 +512,7 @@ def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResul
                 if exhausted:
                     return
 
-    dfs((), free_list((), cand) or [])  # the root is visited even with no free candidate
+    dfs((), None)  # the root's list is built once the root is counted
     return SearchResult(BinMatrix(p.m, best), nodes, not exhausted)
 
 

@@ -216,29 +216,31 @@ def test_paper_policy_repeats_only_middle_sums():
     r = exact_max(p)
     assert r.optimum == 37 and r.proof_of_optimality
     assert verify_witness(p, r.witness)
-    assert r.nodes == 633  # 227,223 with the fractional covering bound, 2.25M without symmetry breaking
+    # 633 without the per-t-set cap, 227,223 with the fractional covering
+    # bound, 2.25M without symmetry breaking
+    assert r.nodes == 138
 
 
 @pytest.mark.slow
 def test_paper_policy_m8_proof():
     # the first proof where the divisibility condition fails: no 2-(8,3,1)
     # design exists, since C(8,2)/3 is not an integer, and the optimum is one
-    # below the 47 columns genl_bound allows.  It takes over a minute, not yet
-    # under the 60 s wanted before m = 8 joins the search-deep benchmark.
+    # below the 47 columns genl_bound allows; 1,272,746 nodes without the
+    # per-t-set cap
     p = SearchProblem(8, Block(3, 2, 1), policy="paper")
     r = exact_max(p)
-    assert (r.optimum, r.proof_of_optimality, r.nodes) == (46, True, 1_272_746)
+    assert (r.optimum, r.proof_of_optimality, r.nodes) == (46, True, 181_980)
     assert int(genl_bound(2, 1, 1, 8).exact) == 47
     assert verify_witness(p, r.witness)
 
 
-@pytest.mark.slow
 def test_paper_policy_m9_proof():
     # the optimum meets genl_bound exactly, and the witness's sum-3 columns
-    # are a Steiner triple system STS(9); 13 times fewer nodes than m = 8
+    # are a Steiner triple system STS(9); 96,492 nodes without the per-t-set
+    # cap, 47 times fewer than m = 8 with it
     p = SearchProblem(9, Block(3, 2, 1), policy="paper")
     r = exact_max(p)
-    assert (r.optimum, r.proof_of_optimality, r.nodes) == (59, True, 96_492)
+    assert (r.optimum, r.proof_of_optimality, r.nodes) == (59, True, 3_892)
     assert genl_bound(2, 1, 1, 9).exact == 59
     assert verify_witness(p, r.witness)
     sums = r.witness.column_sums()
@@ -259,10 +261,14 @@ def test_node_budget_must_be_nonnegative():
     with pytest.raises(ValueError):
         SearchProblem(7, Block(2, 2, 1), node_budget=-1)
     # budget 0 still runs: the greedy incumbent, reported without a proof
-    p = SearchProblem(7, Block(2, 2, 1), sums=frozenset({3}), policy="free", node_budget=0)
+    p = SearchProblem(7, Block(3, 2, 1), policy="paper", node_budget=0)
     r = exact_max(p)
     assert not r.proof_of_optimality and r.optimum >= 1
     assert verify_witness(p, r.witness)
+    # the triple packing at m = 7 pushes no node: the cap cuts every child
+    # of the root, so budget 0 proves the Fano plane optimal
+    r = exact_max(SearchProblem(7, Block(2, 2, 1), sums=frozenset({3}), policy="free", node_budget=0))
+    assert (r.optimum, r.nodes, r.proof_of_optimality) == (7, 1, True)
 
 
 def test_general_pattern_search_tiny():
@@ -284,6 +290,19 @@ def test_general_pattern_node_budget():
     for budget in (24, 1_000):
         r = exact_max(SearchProblem(4, pattern, node_budget=budget))
         assert (r.optimum, r.nodes, r.proof_of_optimality) == (5, 24, True)
+
+
+def test_general_pattern_budget_zero_makes_no_root_list(monkeypatch):
+    # the root is counted before its free list is built: the only
+    # containment calls are the empty-pattern check and the replay of the
+    # empty witness (the root's list took 16 more calls here)
+    made = []
+    contains = xfc.search.contains_config
+    monkeypatch.setattr(xfc.search, "contains_config", lambda c, A: made.append(A) or contains(c, A))
+    pattern = General(BinMatrix.from_columns(2, [(1,), (2,)]))
+    r = exact_max(SearchProblem(4, pattern, node_budget=0))
+    assert (r.optimum, r.nodes, r.proof_of_optimality) == (0, 1, False)
+    assert [A.ncols for A in made] == [0, 0]
 
 
 def test_general_pattern_rejects_nonsimple_policy():
@@ -466,10 +485,95 @@ def test_witnesses_are_pinned():
             (13, Block(2, 2, 1), "simple", "d34b1bc7e30690ef", 1),
             (13, Block(2, 3, 1), "simple", "01b5934a071e909f", 1),
             (13, Block(2, 3, 2), "simple", "19495a7a0ad98982", 1),
-            (7, Block(3, 2, 1), "paper", "36f7abd418d38ccb", 633)):
+            (7, Block(3, 2, 1), "paper", "36f7abd418d38ccb", 138)):
         r = exact_max(SearchProblem(m, block, policy=policy))
         got = hashlib.sha256(repr(r.witness.cols).encode()).hexdigest()[:16]
         assert (got, r.nodes, r.proof_of_optimality) == (digest, nodes, True), (m, block)
+
+
+# Nodes of the search without the per-t-set cap, under the simple, free and
+# paper policies, for each Block(q <= 3, t <= 2, ell <= 2) at m <= 5 that
+# pushed a child there; every other bounded instance of that sweep ended at
+# the root.  The digest is the sha256 of the sweep's witnesses, repr(cols)
+# and a newline each, taken from the uncapped search.
+UNCAPPED_NODES = """
+2 2 0 1   3 1   3
+2 3 0 1   1 1   5
+3 2 0 1   6 1   6
+3 2 0 2   4 1   4
+3 3 0 1   5 1  16
+3 3 0 2   1 1   7
+4 2 0 1  10 1  10
+4 2 0 2  11 1  11
+4 2 1 2   8 1   8
+4 3 0 1  15 1  30
+4 3 0 2   9 1  37
+4 3 1 1  12 1  12
+4 3 1 2   1 1  17
+4 3 2 0   7 1   7
+5 2 0 1  15 1  15
+5 2 0 2  29 1  29
+5 2 1 2  25 1  25
+5 3 0 1  21 1  48
+5 3 0 2  41 1 105
+5 3 1 1  21 1  21
+5 3 1 2  24 1 129
+5 3 2 0  14 1  14
+5 3 2 1  20 1  20
+"""
+UNCAPPED_WITNESS_DIGEST = "7e24eaab255d725a"
+# The same for Block(3, t, ell) at m = 6 on sums {3, 4}, keyed by (t, ell),
+# where a t-set meets columns of two sums and its room falls unevenly.
+UNCAPPED_NODES_M6 = {(1, 0): (5, 1, 1), (1, 1): (10, 20, 20), (1, 2): (237, 194, 194),
+                     (2, 0): (36, 62, 62), (2, 1): (94, 179, 179), (2, 2): (1297, 439, 439)}
+UNCAPPED_WITNESS_DIGEST_M6 = "7dc452e25bfe075d"
+
+
+def test_capped_bound_keeps_every_witness():
+    # the cap only cuts subtrees that cannot beat the best, so the search
+    # returns the uncapped search's witnesses and never pushes more nodes
+    uncapped = {}
+    for line in UNCAPPED_NODES.strip().splitlines():
+        m, q, t, ell, *nodes = map(int, line.split())
+        uncapped.update({(m, q, t, ell, policy): n for policy, n in zip(POLICIES, nodes)})
+    digest = hashlib.sha256()
+    for m in range(1, 6):
+        for q in (1, 2, 3):
+            for t in range(3):
+                for ell in range(3):
+                    for policy in POLICIES:
+                        if policy == "free" and (t or ell):
+                            continue  # unbounded: sum 0 or sum m hits no split
+                        r = exact_max(SearchProblem(m, Block(q, t, ell), policy=policy))
+                        assert r.proof_of_optimality, (m, q, t, ell, policy)
+                        assert r.nodes <= uncapped.get((m, q, t, ell, policy), 1), (m, q, t, ell, policy)
+                        digest.update(repr(r.witness.cols).encode() + b"\n")
+    assert digest.hexdigest()[:16] == UNCAPPED_WITNESS_DIGEST
+    digest = hashlib.sha256()
+    for (t, ell), nodes in UNCAPPED_NODES_M6.items():
+        for policy, n in zip(POLICIES, nodes):
+            r = exact_max(SearchProblem(6, Block(3, t, ell), sums=frozenset({3, 4}), policy=policy))
+            assert r.proof_of_optimality and r.nodes <= n, (t, ell, policy)
+            digest.update(repr(r.witness.cols).encode() + b"\n")
+    assert digest.hexdigest()[:16] == UNCAPPED_WITNESS_DIGEST_M6
+    # triple packings: STS(13) in 50,800 nodes (99,777 uncapped), and STS(15)
+    # at the root, which the uncapped search did not prove in 100,000 nodes
+    for m, want, nodes in ((13, 26, 50_800), (15, 35, 1)):
+        r = exact_max(SearchProblem(m, Block(2, 2, 1), sums=frozenset({3}), policy="free"))
+        assert (r.optimum, r.nodes, r.proof_of_optimality) == (want, nodes, True), m
+
+
+def test_tset_lists_are_built_on_first_use(monkeypatch):
+    built = []
+    tset_ranks = _Kernel.tset_ranks
+    monkeypatch.setattr(_Kernel, "tset_ranks", lambda self, i: built.append(i) or tset_ranks(self, i))
+    # search-wide ends at the root: no list for any of up to 8,192 candidates
+    for m, block in SEARCH_WIDE:
+        exact_max(SearchProblem(m, block))
+    assert built == []
+    # a DFS builds a candidate's list once, when a child test first needs it
+    r = exact_max(SearchProblem(7, Block(3, 2, 1), policy="paper"))
+    assert r.nodes == 138 and built and len(built) == len(set(built))
 
 
 def test_many_rows_one_sum_is_fast():
@@ -495,6 +599,10 @@ def test_oversized_kernel_is_refused():
     # 89,982 frames of 9,999 level masks each: refused before the search runs
     with pytest.raises(ValueError, match="stack"):
         _Kernel(SearchProblem(9, Block(9999, 1, 0), sums=frozenset({1}), policy="free"))
+    # 5,000 frames of two 625-byte masks, a 5,000-entry list and a 5,000-entry
+    # room list: 407 MB, and 207 MB without the room lists
+    with pytest.raises(ValueError, match="stack"):
+        _Kernel(SearchProblem(5000, Block(2, 1, 0), sums=frozenset({1}), policy="free"))
 
 
 def test_witness_replay_failure_raises(monkeypatch):
