@@ -68,7 +68,10 @@ class DesignCheck(namedtuple("DesignCheck", "witness", defaults=(None,))):
 def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
     """Exact coverage check: every t-subset of [m] in exactly lam blocks,
     multiplicity counted.  On failure the witness is the first under- or
-    over-covered t-set in combination order.
+    over-covered t-set in combination order.  With lam = 0 that is decided
+    from the blocks alone, without visiting the C(m, t) t-sets: the design
+    is valid iff it has no block, and otherwise the witness is the least
+    t-subset of any block, with its count.
 
     Structural problems (wrong block size, point out of range) raise.
     """
@@ -81,6 +84,11 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
     for b in blocks:
         for s in combinations(b, t):
             cover[s] += 1
+    if not lam:  # combination order is lexicographic, so b[:t] is b's least t-subset
+        if not blocks:
+            return DesignCheck()
+        s = min(b[:t] for b in blocks)
+        return DesignCheck((s, cover[s]))
     for s in combinations(range(1, m + 1), t):
         if cover[s] != lam:
             return DesignCheck((s, cover[s]))

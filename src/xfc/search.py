@@ -8,26 +8,24 @@ t-ones/ell-zeros column iff every split (T, Z), disjoint row sets of
 sizes t and ell, is hit (ones on T, zeros on Z) by at most q-1 of its
 columns.  The search keeps, for each k up to q-1, the bitmask of splits
 hit at least k times, so feasibility of a candidate is one AND of its
-split mask with the saturated set.  The masks are built once per run, as
-one stream: the greedy incumbent draws from it, and a DFS keeps what the
-greedy drew and draws the rest.
+split mask with the saturated set.  The masks are built once per run, in
+candidate order: the greedy incumbent draws them as it goes, and a DFS
+keeps those and draws the rest.
 
 With rows 0..m-1 and the colex rank sum_j C(r_j, j) of a subset
 {r_1 < ... < r_k}, split (T, Z) is bit W*rank(T) + rank(Z), W = C(m, ell).
-Column c's mask is the product Z(~c) * T(c) of two subset selectors:
-Z(S), the sum of 2**rank(Z) over the ell-subsets Z of S, is below 2**W,
-and T(c) is the sum of 2**(W*rank(T)) over the t-subsets T of c, so the
-terms fill disjoint W-bit slots and the product has no carries.  Adding a
-row r above every row of S extends a selector by E_k(S + r) =
-E_k(S) | E_{k-1}(S) << stride*C(r, k).  The masks of one column sum come
-from one walk: a depth-first search over rows 0..m-1 that takes each row
-as a one before it takes it as a zero, so its leaves are the columns of
-that sum in candidate order.  It extends T through the rows it takes and
-Z through the rows it skips, and a column reuses the steps of the prefix
-it shares with the column before it.  Masks are C(m, t) * C(m, ell)
-bits wide since each slot has room for the ell-sets meeting T, whose bits
-are never set; the bound counts only the C(m, t) * C(m-t, ell) real
-splits.
+Let the selector E_k(S) be the sum of 2**rank(K) over the k-subsets K of
+S.  Column c's mask is the product Z(~c) * T(c): Z(~c) = E_ell(~c) is
+below 2**W, and T(c) spreads the set bits of E_t(c), the colex ranks of
+c's t-sets, W bits apart, so the terms fill disjoint W-bit slots and the
+product has no carries.  Adding a row r above every row of S extends a
+selector by E_k(S + r) = E_k(S) | E_{k-1}(S) << C(r, k), and E_1(S) is S
+itself since rank({r}) = r.  So one routine gives a column's mask and the
+ranks of its t-sets, which the per-t-set bound below reads, from one pass
+over its one rows when t > 1 and one over its zero rows when ell > 1.
+Masks are C(m, t) * C(m, ell) bits wide since each slot has room for the
+ell-sets meeting T, whose bits are never set; the bound counts only the
+C(m, t) * C(m-t, ell) real splits.
 
 Pruning follows the candidate-set discipline of maximum-clique branch and
 bound (Carraghan and Pardalos 1990; Ostergard 2002).  Each node keeps the
@@ -77,8 +75,7 @@ subtrees that cannot beat the best, and the search meets the same
 improvements in the same order, so the optima, proofs and witnesses are
 those of the uncapped search: paper 3,2,1 is proven in 138 nodes at
 m = 7 (633 uncapped), 181,980 at m = 8 (1,272,746) and 3,892 at m = 9
-(96,492).  A candidate's t-set ranks are built the first time a child
-test needs them, so a run that ends at the root builds none.
+(96,492).
 
 Row symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks and
 Roy, KR 1996).  Rows that agree on every chosen column form a cell.  In
@@ -115,9 +112,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
-from operator import lshift, or_
 
 from .matrix import BinMatrix, Block, Configuration, General, _layer, contains_config
 
@@ -207,30 +203,18 @@ def _layers(p: SearchProblem, limit: int, what: str) -> list[tuple[int, tuple[in
     return [(s, _layer(p.m, s)) for s in p.allowed_sums()]
 
 
-def _split_masks(m: int, t: int, ell: int, s: int):
-    """Split masks of the sum-s columns on m rows, in candidate order, by
-    the walk of the module docstring.  Entry i of a selector state sums over
-    the (k - i)-subsets, k = t or ell.  With ell = 0 the rows after the last
-    one change nothing, so they are not walked."""
-    zwidth = comb(m, ell)
-    tsteps = [tuple(zwidth * comb(r, j) for j in range(t, 0, -1)) for r in range(m)]
-    zsteps = [tuple(comb(r, j) for j in range(ell, 0, -1)) for r in range(m)]
-    # (row, ones so far, T state, Z state, whether the row is taken as a one)
-    stack = [(0, 0, (0,) * t + (1,), (0,) * ell + (1,), s > 0)]
-    push = stack.append
-    while stack:
-        r, k, ts, zs, one = stack.pop()
-        while r < m and (ell or k < s):
-            if one:
-                if r - k < m - s:  # row r may be a zero too: come back for it
-                    push((r, k, ts, zs, False))
-                ts = tuple(map(or_, ts, map(lshift, ts[1:], tsteps[r]))) + (1,)
-                k += 1
-            else:
-                zs = tuple(map(or_, zs, map(lshift, zs[1:], zsteps[r]))) + (1,)
-            r += 1
-            one = k < s
-        yield zs[0] * ts[0]
+def _selector(x: int, k: int) -> int:
+    """E_k over the rows set in x: bit rank(K) for each k-subset K, by the
+    recurrence of the module docstring, row by row."""
+    if k < 2:  # E_0 = 1 and E_1(S) = S: no row need be walked
+        return x if k else 1
+    sel = [1] + [0] * k
+    while x:
+        r = (x & -x).bit_length() - 1
+        x &= x - 1
+        for j in range(k, 0, -1):
+            sel[j] |= sel[j - 1] << comb(r, j)
+    return sel[k]
 
 
 class _Kernel:
@@ -243,8 +227,8 @@ class _Kernel:
         if cfg.q == 0:
             raise ValueError("every matrix contains the empty pattern; no maximum exists")
         m, t, ell = p.m, cfg.t, cfg.ell
-        zwidth = comb(m, ell)
-        width = comb(m, t) * zwidth
+        self.zwidth = comb(m, ell)
+        width = comb(m, t) * self.zwidth
         if width > MAX_MASK_BITS:
             raise ValueError(f"split masks exceed the search limit of {MAX_MASK_BITS} bits")
         self.m, self.t, self.ell = m, t, ell
@@ -256,10 +240,10 @@ class _Kernel:
         for s, w in weight.items():
             if not w and s not in unrep:
                 raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
-        # cols holds whole layers: one mask walk per sum that hits a split.
-        # masks holds the masks drawn so far from the stream, in cols order.
+        # masks and tsets hold the split masks and the (room drop, t-set
+        # ranks) of the columns drawn so far, in cols order
         self.masks: list[int] = []
-        self.stream = chain.from_iterable(_split_masks(m, t, ell, s) for s, w in weight.items() if w)
+        self.tsets: list[tuple[int, list[int]]] = []
         # the bound counts columns per weight class, lightest first; a
         # repeatable column stands for cap copies of its weight.  Columns of
         # one sum share weight, class and repeat kind, so the tables grow by
@@ -288,14 +272,12 @@ class _Kernel:
             self.root_counts[k] += n * u
             self.class_drop[k] = min(self.class_drop[k], comb(m - s, ell))
             self.class_tsets[k] = min(self.class_tsets[k], comb(s, t))
-        # no path is longer than the root bound; each frame holds q level
-        # masks, a list of at most len(cols) candidate indices, the room
-        # left on each of the C(m, t) t-sets and one count per class
-        self.root_bound = depth = self.knapsack(self.root_counts, self.cap * self.nsplits)
-        frame = cfg.q * (width // 8 + 36) + 8 * (len(self.cols) + comb(m, t) + len(self.class_weights)) + 56
-        if depth * frame > MAX_STACK_BYTES:
-            raise ValueError(f"a {depth}-deep stack of {cfg.q} masks per frame exceeds "
-                             f"the search limit of {MAX_STACK_BYTES} bytes")
+        # no path is longer than the root bound, and each frame holds q
+        # level masks, which also bound the greedy's own; the rest of a
+        # frame is checked in solve, once a DFS is known to run
+        self.root_bound = self.knapsack(self.root_counts, self.cap * self.nsplits)
+        self.frame_masks = cfg.q * (width // 8 + 36)
+        self.guard_stack(self.frame_masks)
         # levels[k]: splits hit by at least k chosen columns; levels[cap] is
         # the saturated set, which is every split when cap is 0.  Built after
         # the guard, and only when a column can meet the pattern: with none,
@@ -331,22 +313,35 @@ class _Kernel:
                 total += c
         return total
 
-    def tset_ranks(self, i: int) -> tuple[int, list[int]]:
-        """The room column i takes from each t-set it contains, and the
-        colex ranks of those t-sets."""
-        rows = [r for r in range(self.m) if self.cols[i] >> r & 1]
-        ranks = [sum(comb(r, j) for j, r in enumerate(T, 1)) for T in combinations(rows, self.t)]
-        return comb(self.m - len(rows), self.ell), ranks
+    def guard_stack(self, frame: int) -> None:
+        """Refuse a root_bound-deep DFS stack of frame-byte frames."""
+        if self.root_bound * frame > MAX_STACK_BYTES:
+            raise ValueError(f"a {self.root_bound}-deep stack of {frame}-byte frames exceeds "
+                             f"the search limit of {MAX_STACK_BYTES} bytes")
+
+    def draw(self, c: int) -> int:
+        """Append the split mask of c, the next column in candidate order,
+        and the room C(m-s, ell) it takes from each of its t-sets, s its
+        sum, with their colex ranks.  Return the mask."""
+        tsets, z = _selector(c, self.t), _selector(self.full & ~c, self.ell)
+        mask, ranks = 0, []
+        while tsets:
+            ranks.append((tsets & -tsets).bit_length() - 1)
+            tsets &= tsets - 1
+            mask |= z << self.zwidth * ranks[-1]
+        self.masks.append(mask)
+        self.tsets.append((comb(self.m - c.bit_count(), self.ell), ranks))
+        return mask
 
     def greedy(self) -> list[int]:
         """First-fit incumbent in candidate order.  It stops once it holds
         root_bound columns: that bounds every feasible multiset, so no later
-        candidate could join, and the rest of the mask stream is never built."""
+        candidate could join, and the rest of the masks are never built."""
         levels, sol, bound = self.root_levels, [], self.root_bound
         if not bound:
             return sol
-        for i, hm in enumerate(self.stream):
-            self.masks.append(hm)
+        for i, c in enumerate(self.cols):
+            hm = self.draw(c)
             while not hm & levels[-1]:
                 levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
                 sol.append(i)
@@ -365,14 +360,17 @@ class _Kernel:
         if self.root_bound <= incumbent:
             return None, 1, False
         cols, cap, full = self.cols, self.cap, self.full
+        # a frame also holds up to len(cols) candidates, C(m, t) t-set rooms
+        # and one count per class
+        nclasses = len(self.class_weights)
+        self.guard_stack(self.frame_masks + 8 * (len(cols) + comb(self.m, self.t) + nclasses) + 56)
         # rows where a run of ones starts; canonical iff all are cell starts
         runstart = [c & ~(c << 1) for c in cols]
         wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
-        masks = self.masks
-        masks += self.stream  # the masks the greedy did not draw
-        nclasses = len(self.class_weights)
+        masks, tsets = self.masks, self.tsets
+        for c in cols[len(masks):]:  # the columns the greedy did not draw
+            self.draw(c)
         drops, capped = self.class_drop, self.capped
-        tsets = [None] * len(cols)  # (drop, ranks) per candidate, built on first use
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False
         cur: list[int] = []
@@ -404,7 +402,7 @@ class _Kernel:
                     # only splits in live can still be hit, each cap - count times
                     cbudget = sum((live & ~lk).bit_count() for lk in lv[1:])
                     if depth + 1 + knapsack(ccounts, cbudget) > best_n:
-                        drop, ranks = tsets[i] = tsets[i] or self.tset_ranks(i)
+                        drop, ranks = tsets[i]
                         if depth + 1 + capped(ccounts, cbudget, room, fits, drop, ranks) > best_n:
                             break
                 counts[wclass[i]] -= units[i]

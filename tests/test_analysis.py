@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 from math import comb
 
+import pytest
+
 import xfc.analysis
 from xfc.analysis import lemma_audit, tset_table, tsets_colex, w_z_sets
 from xfc.constructions import complete_layer, genl_equality_construction
@@ -22,6 +24,17 @@ def random_matrix(rng, m, max_cols=12):
 
 def test_tsets_colex_order():
     assert tsets_colex(4, 2) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+
+
+def test_tset_table_size_limit():
+    # C(362, 2) = 65,341 t-sets fit under MAX_TSETS and C(363, 2) = 65,703
+    # do not; the count stops growing past the limit, so a huge C(m, t) is
+    # refused at once
+    assert comb(362, 2) <= xfc.analysis.MAX_TSETS < comb(363, 2)
+    assert len(tset_table(BinMatrix(362, ()), 2, 1).mu) == 65_341
+    for m, t in ((363, 2), (363, 361), (10**6, 5 * 10**5)):
+        with pytest.raises(ValueError, match="analysis limit"):
+            tset_table(BinMatrix(m, ()), t, 1)
 
 
 def test_table_on_design_union():

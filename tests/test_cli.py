@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import xfc
+import xfc.analysis
 import xfc.search
 from xfc.cli import BOUNDS, main
 from xfc.designs import DesignCheck, sts, write_design
@@ -149,6 +150,23 @@ def test_analyze_rejects_negative_lambda(capsys, tmp_path):
     assert "lam=-1" in err
 
 
+def test_analyze_refuses_a_huge_tset_table(capsys, tmp_path):
+    # 2,000 empty rows: C(2000, 2) = 1,999,000 t-sets, refused before any
+    # is listed (tabulating them took 326 MB)
+    mat = tmp_path / "empty.mat"
+    mat.write_text("2000 0\n" + "\n" * 2000)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", "2", "--l", "1",
+                             "--lambda", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"analysis limit of {xfc.analysis.MAX_TSETS}" in err
+    assert peak < 10 * 2**20
+
+
 def test_missing_design_file_is_named_the_same_by_both_readers(capsys, tmp_path):
     missing = tmp_path / "missing.des"
     for argv in (["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1",
@@ -174,6 +192,22 @@ def test_verify_design_exit_codes(capsys, tmp_path):
     assert code == 1
     verdict = json.loads(out)
     assert verdict["valid"] is False and verdict["witness"]["count"] == 0
+
+
+def test_verify_design_at_lambda_zero_reads_only_the_blocks(capsys, tmp_path):
+    # C(20000, 2) = 2e8 pairs, none covered: valid without visiting them
+    empty = tmp_path / "empty.des"
+    empty.write_text("20000 3 2 0 0\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify-design", str(empty))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["valid"] is True
+    # one block: its least pair is the first over-covered one
+    single = tmp_path / "single.des"
+    single.write_text("3000 3 2 0 1\n2998 2999 3000\n")
+    code, out, _ = run(capsys, "verify-design", str(single))
+    assert code == 1
+    assert json.loads(out)["witness"] == {"tset": [2998, 2999], "count": 1, "expected": 0}
 
 
 def test_bounds_subcommand(capsys):

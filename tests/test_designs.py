@@ -49,6 +49,17 @@ def test_all_triples_on_five_points():
     assert verify_design(blocks, 5, 3, 2, 3).ok
 
 
+def test_lambda_zero_witness_is_the_first_covered_tset():
+    # at lam = 0 the verdict comes from the blocks alone; it must name the
+    # t-set a scan in combination order meets first, with its count
+    for t in range(4):
+        for blocks in ([], FANO, FANO[3:], [(2, 5, 6), (1, 4, 7), (2, 5, 6)]):
+            cover = Counter(s for b in blocks for s in combinations(b, t))
+            scan = next((s for s in combinations(range(1, 8), t) if cover[s]), None)
+            want = None if scan is None else (scan, cover[scan])
+            assert verify_design(blocks, 7, 3, t, 0).witness == want, (t, blocks)
+
+
 def test_verify_design_structural_errors():
     with pytest.raises(ValueError):
         verify_design([(1, 2)], 7, 3, 2, 1)

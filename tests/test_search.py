@@ -18,7 +18,6 @@ from xfc.search import (
     POLICIES,
     SearchProblem,
     _Kernel,
-    _split_masks,
     exact_max,
     exhaustive_oracle,
     verify_witness,
@@ -335,8 +334,8 @@ def test_kernel_candidate_order():
 
 def test_split_mask_matches_enumeration():
     # every sum-s column of every m <= 7 and every t, ell, masks of 0
-    # included: the walk yields, in candidate order, the OR of the
-    # brute-force splits, ranked by position in colex order
+    # included: the mask is the OR of the brute-force splits, ranked by
+    # position in colex order, and the ranks are those of its t-sets
     for m in range(1, 8):
         rank = {}
         for k in range(m + 1):
@@ -345,11 +344,14 @@ def test_split_mask_matches_enumeration():
         for t in range(m + 1):
             for ell in range(m + 1):
                 width = comb(m, ell)
+                kernel = _Kernel(SearchProblem(m, Block(1, t, ell)))
                 for s in range(m + 1):
-                    layer = list(combinations(range(m), s))
-                    got = list(_split_masks(m, t, ell, s))
-                    assert len(got) == len(layer), (m, t, ell, s)
-                    for ones, mask in zip(layer, got):
+                    for ones in combinations(range(m), s):
+                        mask = kernel.draw(sum(1 << r for r in ones))
+                        drop, ranks = kernel.tsets[-1]
+                        assert drop == comb(m - s, ell), (m, t, ell, ones)
+                        want = sorted(rank[T] for T in combinations(ones, t))
+                        assert sorted(ranks) == want, (m, t, ell, ones)
                         zeros = [r for r in range(m) if r not in ones]
                         want = 0
                         for T in combinations(ones, t):
@@ -386,15 +388,17 @@ def test_search_wide_regime():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Every split mask the search builds, recorded as it is drawn."""
+    """Every column whose split mask and t-set ranks the search builds,
+    recorded as it is drawn."""
     out = []
 
-    def counted(*layer):
-        for hm in _split_masks(*layer):
-            out.append(hm)
-            yield hm
+    draw = _Kernel.draw
 
-    monkeypatch.setattr(xfc.search, "_split_masks", counted)
+    def counted(kernel, c):
+        out.append(c)
+        return draw(kernel, c)
+
+    monkeypatch.setattr(_Kernel, "draw", counted)
     return out
 
 
@@ -415,7 +419,7 @@ def test_greedy_stops_drawing_masks_at_the_root_bound(drawn):
 
 def test_each_mask_is_built_once_per_run(drawn):
     # search-deep: the greedy falls short of the root bound, so a DFS runs;
-    # it keeps the masks the greedy drew and draws the rest of one stream
+    # it keeps the masks the greedy drew and draws the rest
     for p, want in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 25),
                     (SearchProblem(6, Block(3, 2, 1), policy="paper"), 56),
                     (SearchProblem(7, Block(3, 2, 1), policy="paper"), 119),
@@ -455,15 +459,14 @@ def test_layer_tables_match_per_column_derivation():
 
 def test_greedy_equals_unstopped_first_fit():
     # the stop at the root bound changes how many masks are built, never
-    # which candidates the greedy takes; the masks it drew and the rest of
-    # the stream are every mask of the walk, in candidate order
+    # which candidates the greedy takes; the masks it drew are those of
+    # the first candidates, in candidate order
     for p in TABLE_PROBLEMS + tuple(SearchProblem(m, block) for m, block in SEARCH_WIDE):
         kernel = _Kernel(p)
         greedy = kernel.greedy()
-        masks = kernel.masks + list(kernel.stream)
-        t, ell = p.config.t, p.config.ell
-        assert masks == [hm for s in p.allowed_sums() if comb(s, t) * comb(p.m - s, ell)
-                         for hm in _split_masks(p.m, t, ell, s)], p
+        every = _Kernel(p)
+        masks = [every.draw(c) for c in every.cols]
+        assert kernel.masks == masks[:len(kernel.masks)], p
         cap, sol = kernel.cap, []
         hit = [0] * cap  # hit[k]: splits hit more than k times
         for i, hm in enumerate(masks):
@@ -563,22 +566,24 @@ def test_capped_bound_keeps_every_witness():
         assert (r.optimum, r.nodes, r.proof_of_optimality) == (want, nodes, True), m
 
 
-def test_tset_lists_are_built_on_first_use(monkeypatch):
-    built = []
-    tset_ranks = _Kernel.tset_ranks
-    monkeypatch.setattr(_Kernel, "tset_ranks", lambda self, i: built.append(i) or tset_ranks(self, i))
-    # search-wide ends at the root: no list for any of up to 8,192 candidates
-    for m, block in SEARCH_WIDE:
-        exact_max(SearchProblem(m, block))
-    assert built == []
-    # a DFS builds a candidate's list once, when a child test first needs it
-    r = exact_max(SearchProblem(7, Block(3, 2, 1), policy="paper"))
-    assert r.nodes == 138 and built and len(built) == len(set(built))
+def test_tset_lists_are_built_on_first_use(drawn):
+    # a column's t-set ranks are built with its mask, once per drawn column
+    # and for no other: search-wide ends at the root after the greedy's
+    # draws, and the DFS of paper m = 7 draws every candidate
+    for (m, block), want in zip(SEARCH_WIDE, (66, 78, 286, 286)):
+        p = SearchProblem(m, block)
+        drawn.clear()
+        exact_max(p)
+        assert drawn == _Kernel(p).cols[:want], (m, block)
+    p = SearchProblem(7, Block(3, 2, 1), policy="paper")
+    drawn.clear()
+    r = exact_max(p)
+    assert r.nodes == 138 and drawn == _Kernel(p).cols
 
 
 def test_many_rows_one_sum_is_fast():
-    # 4,000 sum-1 columns: each mask costs two walk steps, not a pass over
-    # all 4,000 rows
+    # 4,000 sum-1 columns: each mask is one shift of its single one-row,
+    # not a pass over all 4,000 rows
     start = time.perf_counter()
     r = exact_max(SearchProblem(4000, Block(2, 1, 0), sums=frozenset({1})))
     elapsed = time.perf_counter() - start
@@ -596,13 +601,22 @@ def test_oversized_kernel_is_refused():
     kernel = _Kernel(SearchProblem(13, Block(2, 3, 2)))
     assert len(kernel.cols) + len(kernel.free_cols) <= xfc.search.MAX_CANDIDATES
     assert kernel.root_levels[0].bit_length() == 22_308 <= xfc.search.MAX_MASK_BITS
-    # 89,982 frames of 9,999 level masks each: refused before the search runs
+    # 89,982 frames of 9,999 level masks each: refused before the greedy runs
     with pytest.raises(ValueError, match="stack"):
         _Kernel(SearchProblem(9, Block(9999, 1, 0), sums=frozenset({1}), policy="free"))
-    # 5,000 frames of two 625-byte masks, a 5,000-entry list and a 5,000-entry
-    # room list: 407 MB, and 207 MB without the room lists
-    with pytest.raises(ValueError, match="stack"):
-        _Kernel(SearchProblem(5000, Block(2, 1, 0), sums=frozenset({1}), policy="free"))
+    # a 5,000-deep stack would hold 5,000 candidate indices and 5,000 t-set
+    # rooms per frame, 407 MB, but the greedy meets the root bound and no
+    # frame is pushed
+    r = exact_max(SearchProblem(5000, Block(2, 1, 0), sums=frozenset({1}), policy="free"))
+    assert (r.optimum, r.nodes, r.proof_of_optimality) == (5000, 1, True)
+    # quadruples on 31 points meeting each triple at most once: the greedy
+    # falls short of the root bound, 1,123, and 1,123 frames of 31,465
+    # candidate indices and 4,495 t-set rooms, 324 MB, are refused before
+    # the DFS pushes one
+    kernel = _Kernel(SearchProblem(31, Block(2, 3, 0), sums=frozenset({4})))
+    assert len(kernel.greedy()) < kernel.root_bound == 1123
+    with pytest.raises(ValueError, match="1123-deep stack"):
+        kernel.solve(0, None)
 
 
 def test_witness_replay_failure_raises(monkeypatch):
