@@ -42,29 +42,36 @@ def _bound_json(name: str, bv) -> dict:
     }
 
 
-def _read_file(path: str, parse, error: type[Exception]):
-    """parse(text of path); a read failure or an error from the parser
-    becomes a CliError naming the file."""
+def _read_file(path: str, parse):
+    """parse(text of path); a file that cannot be opened or decoded, or a
+    format error from the parser, becomes a CliError naming the file."""
+    from .matrix import MatrixFormatError  # the error of both text formats
+
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
-    except error as e:
+    except MatrixFormatError as e:
         raise CliError(f"{path}: {e}") from None
 
 
-def _parse_block(text: str):
-    from .matrix import Block
-
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"configuration must be 'q,t,l', got {text!r}")
-    try:
-        q, t, ell = (int(p) for p in parts)
-    except ValueError:
-        raise CliError(f"non-integer configuration field in {text!r}") from None
-    return Block(q, t, ell)
+def _ints(flag: str, text: str, form: str | None = None, sep: str = ",") -> list[int]:
+    """The integers of text split at sep; with form, such as 'q,t,l', as
+    many as form has fields.  Other text is a CliError that names flag and
+    quotes the bad field (and the text it is in), or the whole text when
+    the count is wrong."""
+    fields = text.split(sep)
+    if form is not None and len(fields) != len(form.split(sep)):
+        raise CliError(f"{flag} must be {form!r}, got {text!r}")
+    out = []
+    for field in fields:
+        try:
+            out.append(int(field))
+        except ValueError:
+            where = "" if field == text else f" in {text!r}"
+            raise CliError(f"{flag}: non-integer field {field!r}{where}") from None
+    return out
 
 
 def _parse_sums(text: str, m: int) -> frozenset[int]:
@@ -72,19 +79,16 @@ def _parse_sums(text: str, m: int) -> frozenset[int]:
     checked, and a reversed range refused, before it is expanded."""
     out: set[int] = set()
     for part in text.split(","):
-        lo, dots, hi = part.partition("..")
-        lo = int(lo)
-        hi = int(hi) if dots else lo
+        ends = _ints("--sums", part, sep="..")
+        if len(ends) > 2:
+            raise CliError(f"--sums must list sums and lo..hi ranges, got {part!r}")
+        lo, hi = ends[0], ends[-1]
         if not (0 <= lo <= m and 0 <= hi <= m):
             raise CliError(f"sums outside 0..{m}: {text!r}")
         if lo > hi:
             raise CliError(f"sums range {part!r} is reversed")
         out.update(range(lo, hi + 1))
     return frozenset(out)
-
-
-def _parse_rows(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
 
 
 def _write_file(path: str, text: str) -> None:
@@ -106,7 +110,7 @@ def cmd_construct(args) -> int:
     from .constructions import (exceeder_construction, genl_equality_construction,
                                 q10_construction, small_m_pigeonhole_witness,
                                 split_1100_construction)
-    from .designs import DesignFormatError, lambda_fold, read_design, sts
+    from .designs import lambda_fold, read_design, sts
     from .matrix import complete_layer, layer_range
 
     kind = args.kind
@@ -121,7 +125,7 @@ def cmd_construct(args) -> int:
     elif kind == "genl-equality":
         _require(args, t=args.t, l=args.l, **{"lambda": args.lam}, m=args.m)
         if args.design:
-            d = _read_file(args.design, read_design, DesignFormatError)
+            d = _read_file(args.design, read_design)
         else:
             if args.t != 2:
                 raise CliError("built-in designs cover t=2 only; pass --design for other t")
@@ -169,17 +173,17 @@ def cmd_construct(args) -> int:
 
 def _config(args):
     """The pattern of --config or --config-file, and the flag's value."""
-    if args.config is not None:
-        return _parse_block(args.config), args.config
-    from .matrix import General, MatrixFormatError, read_matrix
+    from .matrix import Block, General, read_matrix
 
-    return General(_read_file(args.config_file, read_matrix, MatrixFormatError)), args.config_file
+    if args.config is not None:
+        return Block(*_ints("--config", args.config, "q,t,l")), args.config
+    return General(_read_file(args.config_file, read_matrix)), args.config_file
 
 
 def cmd_contains(args) -> int:
-    from .matrix import MatrixFormatError, contains_config, read_matrix
+    from .matrix import contains_config, read_matrix
 
-    A = _read_file(args.matrix, read_matrix, MatrixFormatError)
+    A = _read_file(args.matrix, read_matrix)
     config, desc = _config(args)
     found = contains_config(config, A)
     if not args.quiet:
@@ -192,9 +196,9 @@ def cmd_contains(args) -> int:
 
 
 def cmd_verify_design(args) -> int:
-    from .designs import DesignFormatError, read_design, verify_design
+    from .designs import read_design, verify_design
 
-    d = _read_file(args.design, read_design, DesignFormatError)
+    d = _read_file(args.design, read_design)
     check = verify_design(d.blocks, d.m, d.k, d.t, d.lam)
     verdict = {
         "valid": check.ok,
@@ -233,9 +237,7 @@ def cmd_bounds(args) -> int:
     if name == "pigeonhole":
         if not args.profile:
             raise CliError("pigeonhole needs --profile a_t,a_t1,a_higher")
-        profile = tuple(int(x) for x in args.profile.split(","))
-        if len(profile) != 3:
-            raise CliError("profile must have three comma-separated counts")
+        profile = _ints("--profile", args.profile, "a_t,a_t1,a_higher")
         check = func(*values.values(), profile)
         print(json.dumps({"formula": name, "lhs": check.lhs, "rhs": check.rhs,
                           "holds": check.holds}))
@@ -271,10 +273,10 @@ def _report_json(report, include_witness: bool) -> dict:
 
 def cmd_analyze(args) -> int:
     from .analysis import lemma_audit
-    from .matrix import MatrixFormatError, read_matrix
+    from .matrix import read_matrix
 
-    A = _read_file(args.matrix, read_matrix, MatrixFormatError)
-    rows = _parse_rows(args.rows) if args.rows is not None else None
+    A = _read_file(args.matrix, read_matrix)
+    rows = _ints("--rows", args.rows) if args.rows is not None else None
     report = lemma_audit(A, args.t, args.l, args.lam, rows_r=rows)
     print(json.dumps(_report_json(report, args.witness)))
     return 0 if report.all_passed else NEGATIVE
@@ -306,7 +308,7 @@ def cmd_audit(args) -> int:
     from .designs import lambda_fold, sts
     from .matrix import BinMatrix
 
-    ms = [int(p) for p in args.m.split(",")]
+    ms = _ints("--m", args.m)
     t, ell, lam = args.t, args.l, args.lam
     if t != 2:
         raise CliError("the audit sweep uses built-in designs and covers t=2 only")

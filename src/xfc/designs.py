@@ -12,15 +12,10 @@ from collections import Counter, namedtuple
 from itertools import combinations
 from math import comb
 
-from .matrix import BinMatrix, mask_of
+from .matrix import BinMatrix, MatrixFormatError, _read_text, mask_of
 
-
-class DesignFormatError(ValueError):
-    """Malformed design text.  Carries the 1-based offending line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+# malformed design text: the line-numbered error of both text formats
+DesignFormatError = MatrixFormatError
 
 
 def _sorted_blocks(blocks, m: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -179,36 +174,23 @@ def write_design(d: Design) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_design(text: str) -> Design:
-    lines = text.splitlines()
-    if not lines:
-        raise DesignFormatError(1, "empty input, expected header 'm k t lambda b'")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise DesignFormatError(1, f"expected 'm k t lambda b', got {lines[0]!r}")
+def _block(fields: list, no: int, line: str) -> tuple[int, ...]:
+    """Block line no: k strictly ascending points in 1..m."""
+    m, k = fields[:2]
     try:
-        m, k, t, lam, b = (int(x) for x in head)
+        pts = tuple(int(p) for p in line.split())
     except ValueError:
-        raise DesignFormatError(1, f"non-integer header fields in {lines[0]!r}") from None
-    if min(m, k, t, lam, b) < 0:
-        raise DesignFormatError(1, "header fields must be nonnegative")
-    if len(lines) < b + 1:
-        raise DesignFormatError(len(lines) + 1, f"expected {b} block lines, got {len(lines) - 1}")
-    blocks = []
-    for i in range(b):
-        parts = lines[i + 1].split()
-        try:
-            pts = tuple(int(p) for p in parts)
-        except ValueError:
-            raise DesignFormatError(i + 2, f"non-integer point in {lines[i + 1]!r}") from None
-        if len(pts) != k:
-            raise DesignFormatError(i + 2, f"expected {k} points, got {len(pts)}")
-        if any(x >= y for x, y in zip(pts, pts[1:])):
-            raise DesignFormatError(i + 2, "block points must be strictly ascending")
-        if pts and (pts[0] < 1 or pts[-1] > m):
-            raise DesignFormatError(i + 2, f"block points outside 1..{m}")
-        blocks.append(pts)
-    for extra in range(b + 1, len(lines)):
-        if lines[extra].strip():
-            raise DesignFormatError(extra + 1, "trailing non-empty line")
+        raise DesignFormatError(no, f"non-integer point in {line!r}") from None
+    if len(pts) != k:
+        raise DesignFormatError(no, f"expected {k} points, got {len(pts)}")
+    if any(x >= y for x, y in zip(pts, pts[1:])):
+        raise DesignFormatError(no, "block points must be strictly ascending")
+    if pts and (pts[0] < 1 or pts[-1] > m):
+        raise DesignFormatError(no, f"block points outside 1..{m}")
+    return pts
+
+
+def read_design(text: str) -> Design:
+    """Parse the design text format.  Round-trips with write_design()."""
+    (m, k, t, lam, _), blocks = _read_text(text, "m k t lambda b", 4, "block", _block)
     return Design(m, k, t, lam, tuple(blocks))

@@ -23,7 +23,8 @@ MAX_ROW_MASK_BITS = 1 << 31
 
 
 class MatrixFormatError(ValueError):
-    """Malformed matrix text.  Carries the 1-based offending line number."""
+    """Malformed matrix or design text (designs raise it under the name
+    DesignFormatError).  Carries the 1-based offending line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -306,35 +307,50 @@ def _row_strings(m: int, cols) -> list[str]:
     return [bits[m - 1 - r::m] for r in range(m)]
 
 
+def _read_text(text: str, header: str, count: int, what: str, parse_line) -> tuple[list, list]:
+    """The layout both text formats share: a header of the nonnegative
+    integers named in header, as many body lines as its field number
+    count, then blank lines only.  Returns the header's fields and
+    parse_line(fields, line number, line) of each body line.  The first
+    error wins in this order: the header, the first missing line, the
+    first bad body line, the first trailing line."""
+    lines = text.splitlines()
+    if not lines:
+        raise MatrixFormatError(1, f"empty input, expected header '{header}'")
+    if len(lines[0].split()) != len(header.split()):
+        raise MatrixFormatError(1, f"expected header '{header}', got {lines[0]!r}")
+    try:
+        fields = [int(x) for x in lines[0].split()]
+    except ValueError:
+        raise MatrixFormatError(1, f"non-integer header fields in {lines[0]!r}") from None
+    if min(fields) < 0:
+        raise MatrixFormatError(1, "header fields must be nonnegative")
+    n = fields[count]
+    if len(lines) < n + 1:
+        raise MatrixFormatError(len(lines) + 1, f"expected {n} {what} lines, got {len(lines) - 1}")
+    body = [parse_line(fields, no, line) for no, line in enumerate(lines[1:n + 1], 2)]
+    for no, line in enumerate(lines[n + 1:], n + 2):
+        if line.strip():
+            raise MatrixFormatError(no, "trailing non-empty line")
+    return fields, body
+
+
+def _matrix_row(fields: list, no: int, row: str) -> str:
+    """Row line no: exactly n characters from {0,1}."""
+    if len(row) != fields[1]:
+        raise MatrixFormatError(no, f"expected {fields[1]} characters, got {len(row)}")
+    if bad := row.lstrip("01"):
+        raise MatrixFormatError(no, f"invalid character {bad[0]!r}")
+    return row
+
+
 def read_matrix(text: str) -> BinMatrix:
     """Parse the matrix text format.
 
     First line "m n"; then m lines of exactly n characters from {0,1};
     column j is read down line positions j.  Round-trips with to_text().
     """
-    lines = text.splitlines()
-    if not lines:
-        raise MatrixFormatError(1, "empty input, expected header 'm n'")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MatrixFormatError(1, f"expected header 'm n', got {lines[0]!r}")
-    try:
-        m, n = int(head[0]), int(head[1])
-    except ValueError:
-        raise MatrixFormatError(1, f"non-integer header fields in {lines[0]!r}") from None
-    if m < 0 or n < 0:
-        raise MatrixFormatError(1, "m and n must be nonnegative")
-    if len(lines) < m + 1:
-        raise MatrixFormatError(len(lines) + 1, f"expected {m} row lines, got {len(lines) - 1}")
-    rows = lines[1:m + 1]
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise MatrixFormatError(r + 2, f"expected {n} characters, got {len(row)}")
-        if bad := row.lstrip("01"):
-            raise MatrixFormatError(r + 2, f"invalid character {bad[0]!r}")
-    for extra in range(m + 1, len(lines)):
-        if lines[extra].strip():
-            raise MatrixFormatError(extra + 1, "trailing non-empty line")
+    (m, n), rows = _read_text(text, "m n", 0, "row", _matrix_row)
     # the inverse of _row_strings: column j is every n-th digit from row m
     # up to row 1, behind a 0 that gives the m = 0 columns a digit
     bits = "0" * n + "".join(reversed(rows))

@@ -9,8 +9,8 @@ sizes t and ell, is hit (ones on T, zeros on Z) by at most q-1 of its
 columns.  The search keeps, for each k up to q-1, the bitmask of splits
 hit at least k times, so feasibility of a candidate is one AND of its
 split mask with the saturated set.  The masks are built once per run, in
-candidate order: the greedy incumbent draws them as it goes, and a DFS
-keeps those and draws the rest.
+candidate order, by the greedy incumbent as it goes.  It stops early only
+at the root bound, where no DFS runs, so a DFS finds every mask drawn.
 
 With rows 0..m-1 and the colex rank sum_j C(r_j, j) of a subset
 {r_1 < ... < r_k}, split (T, Z) is bit W*rank(T) + rank(Z), W = C(m, ell).
@@ -367,9 +367,8 @@ class _Kernel:
         # rows where a run of ones starts; canonical iff all are cell starts
         runstart = [c & ~(c << 1) for c in cols]
         wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
+        # every mask is drawn: a greedy short of root_bound ran to the end
         masks, tsets = self.masks, self.tsets
-        for c in cols[len(masks):]:  # the columns the greedy did not draw
-            self.draw(c)
         drops, capped = self.class_drop, self.capped
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False

@@ -26,6 +26,25 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("kind, flags, m, ncols, avoided", [
+    ("exceeder", ["--t", "2", "--l", "1", "--lambda", "1"], 4, 16, "3,2,1"),
+    ("q10", ["--q", "4", "--m", "6"], 6, 17, "4,1,1"),
+    ("small-m-witness", ["--q", "4"], 3, 11, "4,1,1"),
+    ("split-1100", ["--m", "7", "--a", "1", "--b", "1"], 7, 72, "5,2,2"),
+])
+def test_construct_meta_record_of_each_kind(capsys, kind, flags, m, ncols, avoided):
+    # without -o the record is followed by the matrix text
+    code, out, err = run(capsys, "construct", kind, *flags, "--meta")
+    assert (code, err) == (0, "")
+    record, text = out.split("\n", 1)
+    assert json.loads(record) == {
+        "m": m, "ncols": ncols, "claimed_bound": {"numerator": ncols, "denominator": 1, "floor": ncols},
+        "avoided_configuration": avoided, "verified": True,
+    }
+    A = read_matrix(text)
+    assert (A.m, A.ncols) == (m, ncols)
+
+
 def test_construct_kms(capsys):
     code, out, _ = run(capsys, "construct", "kms", "--m", "7", "--s", "3")
     assert code == 0
@@ -177,6 +196,36 @@ def test_missing_design_file_is_named_the_same_by_both_readers(capsys, tmp_path)
         assert err.startswith(f"error: cannot read {missing}: "), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["contains", "--config", "2,1,0", "--matrix", "{path}"],
+    ["verify-design", "{path}"],
+])
+def test_undecodable_file_is_named(capsys, tmp_path, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"2 2\n\xff\xfe\n\x81\x00\n")
+    code, out, err = run(capsys, *(a.format(path=binary) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {binary}: 'utf-8' codec can't decode"), argv
+
+
+def test_every_file_reader_names_the_path_and_line(capsys, tmp_path):
+    good, bad_matrix, bad_design = tmp_path / "good.mat", tmp_path / "bad.mat", tmp_path / "bad.des"
+    good.write_text("1 1\n1\n")
+    bad_matrix.write_text("2 2\n10\n0x\n")
+    bad_design.write_text("7 3 2 1 1\n1 2 x\n")
+    matrix_error = f"error: {bad_matrix}: line 3: invalid character 'x'\n"
+    design_error = f"error: {bad_design}: line 2: non-integer point in '1 2 x'\n"
+    for argv, want in (
+        (["contains", "--config", "1,1,0", "--matrix", bad_matrix], matrix_error),
+        (["contains", "--config-file", bad_matrix, "--matrix", good], matrix_error),
+        (["analyze", "--matrix", bad_matrix, "--t", "1", "--l", "0", "--lambda", "0"], matrix_error),
+        (["verify-design", bad_design], design_error),
+        (["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7",
+          "--design", bad_design], design_error),
+    ):
+        assert run(capsys, *map(str, argv)) == (2, "", want), argv
+
+
 def test_verify_design_exit_codes(capsys, tmp_path):
     good = tmp_path / "good.des"
     good.write_text(write_design(sts(7)))
@@ -260,6 +309,28 @@ def test_bounds_without_flags_is_usage_error(capsys, formula):
     code, out, err = run(capsys, "bounds", formula)
     assert code == 2 and out == ""
     assert "missing required flag(s)" in err and "NoneType" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--matrix", "{A}", "--t", "2", "--l", "1", "--lambda", "1", "--rows", "1,x"],
+     "--rows: non-integer field 'x' in '1,x'"),
+    (["bounds", "pigeonhole", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7",
+      "--profile", "1,x,2"], "--profile: non-integer field 'x' in '1,x,2'"),
+    (["bounds", "pigeonhole", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7",
+      "--profile", "1,2"], "--profile must be 'a_t,a_t1,a_higher', got '1,2'"),
+    (["audit", "--m", "7,x"], "--m: non-integer field 'x' in '7,x'"),
+    (["search", "--m", "7", "--config", "2,2,1", "--sums", "3,x"], "--sums: non-integer field 'x'"),
+    (["search", "--m", "7", "--config", "2,2,1", "--sums", "3..x"],
+     "--sums: non-integer field 'x' in '3..x'"),
+    (["search", "--m", "7", "--config", "2,2,1", "--sums", "1..2..3"],
+     "--sums must list sums and lo..hi ranges, got '1..2..3'"),
+    (["search", "--m", "7", "--config", "2,x,1"], "--config: non-integer field 'x' in '2,x,1'"),
+    (["search", "--m", "7", "--config", "2,2"], "--config must be 'q,t,l', got '2,2'"),
+])
+def test_integer_list_flag_errors_name_the_flag(capsys, tmp_path, argv, message):
+    mat = tmp_path / "a.mat"
+    mat.write_text("3 1\n1\n1\n0\n")
+    assert run(capsys, *(a.format(A=mat) for a in argv)) == (2, "", f"error: {message}\n")
 
 
 def test_bounds_pigeonhole(capsys):
@@ -545,7 +616,7 @@ def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
 
 # exported for tests only: the references their checks compare against
 EXPORTS_WITHOUT_CALLERS = (
-    ("block_support_count", "the per-split count the split-search brute-force tests compare against"),
+    ("block_support_count", "the per-split column count the construction, design and closed-form tests read"),
     ("write_design", "the design text writer the round-trip and verify-design tests use"),
     ("w_z_sets", "the W/Z split of a row set; lemma_audit counts a^R in the same pass"),
 )

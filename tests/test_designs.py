@@ -154,6 +154,12 @@ def test_design_text_round_trip():
         ("7 3 2 1 2\n1 2 3\n1 1 2\n", 3),
         ("7 3 2 1 2\n1 2 3\n1 2 8\n", 3),
         ("-7 3 2 1 0\n", 1),
+        # two defects: the header, the first missing line, the first bad
+        # block and a trailing line win in that order
+        ("7 3 2 1\n1 2 x\n", 1),
+        ("7 3 2 1 3\n1 2 x\n1 2 3\n", 4),
+        ("7 3 2 1 2\n1 2 3\n1 1 2\n\njunk\n", 3),
+        ("7 3 2 1 2\n1 2\n3 2 1\n", 2),
     ],
 )
 def test_design_text_errors(text, line):

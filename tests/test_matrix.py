@@ -102,6 +102,12 @@ def test_text_format_is_column_down_lines():
         ("2 2\n10\n0", 3),
         ("2 2\n1x\n01", 2),
         ("1 1\n1\njunk", 3),
+        # two defects: the header, the first missing line, the first bad
+        # row and a trailing line win in that order
+        ("2\n10\n01\njunk", 1),
+        ("3 2\n1x\n01", 4),
+        ("2 2\n10\n0x\n\njunk", 3),
+        ("2 2\n1\n0x", 2),
     ],
 )
 def test_text_format_errors_carry_line_numbers(text, line):

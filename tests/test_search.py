@@ -419,11 +419,14 @@ def test_greedy_stops_drawing_masks_at_the_root_bound(drawn):
 
 def test_each_mask_is_built_once_per_run(drawn):
     # search-deep: the greedy falls short of the root bound, so a DFS runs;
-    # it keeps the masks the greedy drew and draws the rest
+    # a greedy that falls short has drawn every mask, and the DFS draws none
     for p, want in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 25),
                     (SearchProblem(6, Block(3, 2, 1), policy="paper"), 56),
                     (SearchProblem(7, Block(3, 2, 1), policy="paper"), 119),
                     (SearchProblem(7, Block(2, 2, 1), sums=frozenset(range(3, 7)), policy="free"), 98)):
+        kernel = _Kernel(p)
+        assert len(kernel.greedy()) < kernel.root_bound, p
+        assert len(kernel.masks) == len(kernel.tsets) == len(kernel.cols), p
         drawn.clear()
         r = exact_max(p)
         assert r.proof_of_optimality and r.nodes > 1, p
