@@ -30,8 +30,8 @@ _EXPORTS = {
     ), "designs"),
     **dict.fromkeys((
         "BinMatrix", "Block", "Configuration", "General", "MatrixFormatError", "RowSplit",
-        "block_support_count", "complete_layer", "contains_config", "layer_range",
-        "max_block_multiplicity", "read_matrix",
+        "block_support_count", "contains_config", "layer_range", "max_block_multiplicity",
+        "read_matrix",
     ), "matrix"),
     **dict.fromkeys(
         ("SearchProblem", "SearchResult", "exact_max", "exhaustive_oracle", "verify_witness"), "search"),

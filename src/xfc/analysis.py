@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .bounds import pigeonhole_terms
-from .matrix import BinMatrix, mask_of, rows_of
+from .matrix import BinMatrix, count_layers, mask_of, rows_of
 
 # t-set tables are refused above 2**16 t-sets, counted before enumerating:
 # C(362, 2) = 65,341 fits and takes about 9 MB and 0.2 s to tabulate, where
@@ -53,11 +53,8 @@ def tset_table(A: BinMatrix, t: int, lam: int) -> TsetTable:
     (d)."""
     if not 0 <= t <= A.m:
         raise ValueError(f"t={t} outside 0..{A.m}")
-    n = 1  # C(m, i) for i = 1..min(t, m - t), which only grows
-    for i in range(min(t, A.m - t)):
-        n = n * (A.m - i) // (i + 1)
-        if n > MAX_TSETS:
-            raise ValueError(f"the C({A.m}, {t}) t-sets exceed the analysis limit of {MAX_TSETS}")
+    if count_layers(A.m, (t,), MAX_TSETS) > MAX_TSETS:
+        raise ValueError(f"the C({A.m}, {t}) t-sets exceed the analysis limit of {MAX_TSETS}")
     mu = dict.fromkeys(tsets_colex(A.m, t), 0)
     d = dict.fromkeys(mu, 0)
     for c in A.cols:

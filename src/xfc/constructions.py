@@ -4,14 +4,16 @@ Every generator is fail-closed: before returning, it re-checks its own
 claims (column count against the exact bound, pattern avoidance via the
 containment decision procedure, simplicity where claimed) and raises
 ConstructionError if any claim does not hold for the requested
-parameters.
+parameters.  So a returned matrix's column count is its verified bound.
+Instances past the cell limit of ``xfc.matrix`` or the block limit of
+``xfc.designs`` are refused with a ValueError before they are built.
 """
 
 from __future__ import annotations
 
 from .bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
 from .designs import Design, lambda_fold, sts, verify_design
-from .matrix import BinMatrix, Block, complete_layer, contains_config, layer_range, mask_of
+from .matrix import MAX_CELLS, BinMatrix, Block, contains_config, layer_range, mask_of
 
 
 class ConstructionError(ValueError):
@@ -19,36 +21,39 @@ class ConstructionError(ValueError):
     parameters."""
 
 
-def _check_avoids(A: BinMatrix, forbidden: Block, what: str) -> None:
+def _certified(A: BinMatrix, want, forbidden: Block, what: str) -> BinMatrix:
+    """A, once its column count is the bound want and it avoids forbidden;
+    otherwise a ConstructionError naming what."""
+    if A.ncols != want:
+        raise ConstructionError(f"{what}: column count {A.ncols} != bound {want}")
     if contains_config(forbidden, A):
-        raise ConstructionError(
-            f"{what}: built matrix contains the forbidden "
-            f"{forbidden.q} x (ones={forbidden.t}, zeros={forbidden.ell}) block"
-        )
+        raise ConstructionError(f"{what}: built matrix contains the forbidden {forbidden.q} x "
+                                f"(ones={forbidden.t}, zeros={forbidden.ell}) block")
+    return A
 
 
-def genl_equality_construction(t: int, ell: int, lam: int, m: int, design: Design) -> BinMatrix:
+def genl_equality_construction(t: int, ell: int, lam: int, m: int,
+                               design: Design | None = None) -> BinMatrix:
     """All columns of sums 0..t and m-ell+1..m once each, plus the
-    incidence of a t-(m, t+1, lam) design.  Hits the genl bound exactly
-    and avoids lam+2 copies of the t-ones/ell-zeros column."""
+    incidence of a t-(m, t+1, lam) design, by default (t = 2 only) the
+    lam-fold of sts(m).  Hits the genl bound exactly and avoids lam+2
+    copies of the t-ones/ell-zeros column."""
+    if design is None:
+        if t != 2:
+            raise ValueError("built-in designs cover t=2 only")
+        design = lambda_fold(sts(m), lam)
     if not t > ell >= 0:
         raise ValueError("need t > ell >= 0")
-    if (design.m, design.k, design.t, design.lam) != (m, t + 1, t, lam):
-        raise ConstructionError(
-            f"design parameters {(design.m, design.k, design.t, design.lam)} "
-            f"do not match required ({m}, {t + 1}, {t}, {lam})"
-        )
+    params = (m, t + 1, t, lam)  # a Design's fields m, k, t, lam
+    if design[:4] != params:
+        raise ConstructionError(f"design parameters {design[:4]} do not match required {params}")
     check = verify_design(design.blocks, m, t + 1, t, lam)
     if not check.ok:
         raise ConstructionError(f"design failed verification, witness {check.witness}")
-    A = layer_range(m, range(t + 1))
-    A = A.concat(design.incidence())
+    A = layer_range(m, range(t + 1)).concat(design.incidence())
     A = A.concat(layer_range(m, range(m - ell + 1, m + 1)))
-    want = genl_bound(t, ell, lam, m).exact
-    if A.ncols != want:
-        raise ConstructionError(f"column count {A.ncols} != bound {want}")
-    _check_avoids(A, Block(lam + 2, t, ell), "genl equality construction")
-    return A
+    return _certified(A, genl_bound(t, ell, lam, m).exact, Block(lam + 2, t, ell),
+                      "genl equality construction")
 
 
 def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
@@ -63,12 +68,8 @@ def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
         raise ValueError("need lam >= 1")
     m = lam + t + ell
     A = layer_range(m, [*range(t + 2), *range(m - ell + 1, m + 1)])
-    gap = A.ncols - genl_bound(t, ell, lam, m).exact
-    want = exceeder_gap(t, ell, lam).exact
-    if gap != want:
-        raise ConstructionError(f"gap {gap} != stated {want}")
-    _check_avoids(A, Block(lam + 2, t, ell), "exceeder construction")
-    return A
+    want = genl_bound(t, ell, lam, m).exact + exceeder_gap(t, ell, lam).exact
+    return _certified(A, want, Block(lam + 2, t, ell), "exceeder construction")
 
 
 def _near_regular_edges(m: int, d: int) -> list[tuple[int, int]]:
@@ -126,22 +127,18 @@ def q10_construction(q: int, m: int) -> BinMatrix:
         raise ValueError("need q >= 3")
     if m < q - 2:
         raise ValueError(f"need m >= q - 2 = {q - 2} for degree q - 3")
-    edges = _near_regular_edges(m, q - 3)
-    H = BinMatrix(m, tuple(mask_of(e) for e in edges))
-    A = complete_layer(m, 0).concat(complete_layer(m, 1)).concat(H)
-    A = A.concat(complete_layer(m, m - 1)).concat(complete_layer(m, m))
     try:
         want = q10_lower(q, m).floor_int
     except ValueError as e:
         raise ConstructionError(f"count bound undefined at m={m}: {e}") from None
-    if A.ncols != want:
-        raise ConstructionError(f"column count {A.ncols} != bound {want}")
+    if want > MAX_CELLS // m:
+        raise ValueError(f"{want} columns on {m} rows exceed the limit of {MAX_CELLS} cells")
+    H = BinMatrix(m, tuple(mask_of(e) for e in _near_regular_edges(m, q - 3)))
+    A = layer_range(m, (0, 1)).concat(H).concat(layer_range(m, (m - 1, m)))
     if not A.is_simple():
-        raise ConstructionError(
-            f"q10 construction is not simple at (q={q}, m={m}): layer sums collide for m <= 3"
-        )
-    _check_avoids(A, Block(q, 1, 1), "q10 construction")
-    return A
+        raise ConstructionError(f"q10 construction is not simple at (q={q}, m={m}): "
+                                "layer sums collide for m <= 3")
+    return _certified(A, want, Block(q, 1, 1), "q10 construction")
 
 
 def small_m_pigeonhole_witness(q: int) -> BinMatrix:
@@ -161,12 +158,8 @@ def small_m_pigeonhole_witness(q: int) -> BinMatrix:
         want = q10_upper(q, m).floor_int
     except ValueError as e:
         raise ConstructionError(f"pigeonhole upper bound undefined at m={m}: {e}") from None
-    A = complete_layer(m, 0).concat(complete_layer(m, 1)).concat(complete_layer(m, 2))
-    A = A.concat(complete_layer(m, m - 1)).concat(complete_layer(m, m))
-    if A.ncols != want:
-        raise ConstructionError(f"column count {A.ncols} != upper bound {want}")
-    _check_avoids(A, Block(q, 1, 1), "small-m pigeonhole witness")
-    return A
+    A = layer_range(m, (0, 1, 2)).concat(layer_range(m, (m - 1, m)))
+    return _certified(A, want, Block(q, 1, 1), "small-m pigeonhole witness")
 
 
 def split_1100_construction(m: int, a: int, b: int) -> BinMatrix:
@@ -183,18 +176,12 @@ def split_1100_construction(m: int, a: int, b: int) -> BinMatrix:
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("need a, b >= 0 with a + b >= 1")
     base = sts(m)  # validates the residue classes
-    lam = a + b
     A = layer_range(m, (0, 1, 2))
     if a:
         A = A.concat(lambda_fold(base, a).incidence())
     if b:
-        co = lambda_fold(base, b).incidence().complement()
-        A = A.concat(co)
+        A = A.concat(lambda_fold(base, b).incidence().complement())
     A = A.concat(layer_range(m, (m - 2, m - 1, m)))
-    want = bound_1100(lam, m).exact
-    if A.ncols != want:
-        raise ConstructionError(f"column count {A.ncols} != bound {want}")
     if a <= 1 and b <= 1 and not A.is_simple():
         raise ConstructionError("split 1100 construction unexpectedly non-simple")
-    _check_avoids(A, Block(lam + 3, 2, 2), "split 1100 construction")
-    return A
+    return _certified(A, bound_1100(a + b, m).exact, Block(a + b + 3, 2, 2), "split 1100 construction")

@@ -16,6 +16,10 @@ from .matrix import BinMatrix, MatrixFormatError, _read_text, mask_of
 
 # malformed design text: the line-numbered error of both text formats
 DesignFormatError = MatrixFormatError
+# sts and lambda_fold refuse more blocks, counted before building: sts(627)
+# takes 60 MB, genl-equality on a 2^20-block fold of sts(7) 180 MB.
+MAX_STS_BLOCKS = 1 << 16
+MAX_FOLD_BLOCKS = 1 << 20
 
 
 def _sorted_blocks(blocks, m: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -119,6 +123,8 @@ def lambda_fold(d: Design, c: int) -> Design:
     c > 1."""
     if c < 1:
         raise ValueError("fold factor must be >= 1")
+    if d.nblocks * c > MAX_FOLD_BLOCKS:
+        raise ValueError(f"{d.nblocks * c} blocks exceed the design limit of {MAX_FOLD_BLOCKS}")
     return Design(d.m, d.k, d.t, c * d.lam, d.blocks * c)
 
 
@@ -147,6 +153,8 @@ def sts(m: int) -> Design:
     """
     if m < 7 or not divisibility_check(2, 3, 1, m).ok:
         raise ValueError(f"no Steiner triple system on {m} points (need m = 1, 3 mod 6, m >= 7)")
+    if m * (m - 1) // 6 > MAX_STS_BLOCKS:
+        raise ValueError(f"{m * (m - 1) // 6} blocks exceed the triple system limit of {MAX_STS_BLOCKS}")
     n = m // 6
     if m % 6 == 3:
         mod = 2 * n + 1

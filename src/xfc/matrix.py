@@ -20,6 +20,9 @@ from itertools import combinations
 # row and row of A, each (distinct columns) x (columns of A) bits wide,
 # would pass 256 MiB in all.
 MAX_ROW_MASK_BITS = 1 << 31
+# layer_range refuses more than 2^25 cells (m per column), counted before
+# enumerating: all 21 million of m = 20 take 56 MB, 163 MB as text.
+MAX_CELLS = 1 << 25
 
 
 class MatrixFormatError(ValueError):
@@ -130,15 +133,29 @@ def _layer(m: int, s: int) -> tuple[int, ...]:
     return tuple(map(sum, combinations([1 << r for r in range(m)], s)))
 
 
-def complete_layer(m: int, s: int) -> BinMatrix:
-    """All C(m, s) distinct columns of sum s, in lexicographic order of
-    their 1-position sets."""
-    return BinMatrix(m, _layer(m, s))
+def count_layers(m: int, sums, limit: int) -> int:
+    """The columns of sum in sums, C(m, s) each, or limit + 1 once they
+    pass limit.  C(m, i) only grows for i = 1..min(s, m - s), so it is
+    built upward and the count stops as soon as it passes limit."""
+    n = 0
+    for s in sums:
+        c = 1
+        for i in range(min(s, m - s)):
+            c = c * (m - i) // (i + 1)
+            if n + c > limit:
+                return limit + 1
+        n += c
+    return min(n, limit + 1)
 
 
 def layer_range(m: int, sums) -> BinMatrix:
-    """Concatenation of complete layers over the given sums, ascending."""
-    return BinMatrix(m, tuple(c for s in sorted(set(sums)) for c in _layer(m, s)))
+    """Concatenation of complete layers over the given sums, ascending,
+    each in lexicographic order of its columns' 1-position sets."""
+    sums = sorted(set(sums))
+    most = MAX_CELLS // max(m, 1)
+    if count_layers(m, sums, most) > most:
+        raise ValueError(f"layers on {m} rows exceed the limit of {MAX_CELLS} cells")
+    return BinMatrix(m, tuple(c for s in sums for c in _layer(m, s)))
 
 
 class RowSplit(namedtuple("RowSplit", "ones zeros")):

@@ -115,7 +115,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import comb
 
-from .matrix import BinMatrix, Block, Configuration, General, _layer, contains_config
+from .matrix import BinMatrix, Block, Configuration, General, _layer, contains_config, count_layers
 
 POLICIES = ("simple", "free", "paper")
 
@@ -195,11 +195,8 @@ def verify_witness(p: SearchProblem, A: BinMatrix) -> bool:
 def _layers(p: SearchProblem, limit: int, what: str) -> list[tuple[int, tuple[int, ...]]]:
     """Each allowed sum, ascending, with its columns in lexicographic order
     of their 1-positions; refused before enumeration when more than limit."""
-    n = 0
-    for s in p.allowed_sums():
-        n += comb(p.m, s)
-        if n > limit:  # stop before the count itself grows huge
-            raise ValueError(f"candidate columns exceed the {what} limit of {limit}")
+    if count_layers(p.m, p.allowed_sums(), limit) > limit:
+        raise ValueError(f"candidate columns exceed the {what} limit of {limit}")
     return [(s, _layer(p.m, s)) for s in p.allowed_sums()]
 
 
@@ -372,7 +369,6 @@ class _Kernel:
         drops, capped = self.class_drop, self.capped
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False
-        cur: list[int] = []
         # per node: its feasible candidates in order, the position of the
         # next child, the class counts of cands[pos:], the row cell starts,
         # the level masks, the split budget (cap * nsplits at the root),
@@ -384,7 +380,7 @@ class _Kernel:
         fits = [len(room) * (room[0] // d) for d in drops]
         stack: list[tuple] = []
         while True:
-            depth, outside = len(cur), ~bounds
+            depth, outside = len(stack), ~bounds
             while pos < len(cands) and depth + knapsack(counts, budget) > best_n:
                 i = cands[pos]
                 if not runstart[i] & outside:
@@ -410,25 +406,23 @@ class _Kernel:
                 if not stack:
                     break
                 cands, pos, counts, bounds, levels, budget, room, fits = stack.pop()
-                i = cur.pop()
-                counts[wclass[i]] -= units[i]
-                pos += 1
                 continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 exhausted = True
                 break
-            stack.append((cands, pos, counts, bounds, levels, budget, room, fits))
+            # pushed past i, so the cands[pos - 1] on the stack are the columns chosen
+            counts[wclass[i]] -= units[i]
+            stack.append((cands, pos + 1, counts, bounds, levels, budget, room, fits))
             fits = [f - sum(room[r] // d - (room[r] - drop) // d for r in ranks) for f, d in zip(fits, drops)]
             room = room.copy()
             for r in ranks:
                 room[r] -= drop
-            cur.append(i)
             x = cols[i]
             cands, pos, counts, levels, budget = child, 0, ccounts, lv, cbudget
             bounds |= full & (x ^ (x << 1))
             if depth + 1 > best_n:
-                best_n, best_sol = depth + 1, cur.copy()
+                best_n, best_sol = depth + 1, [c[p - 1] for c, p, *_ in stack]
         return best_sol, nodes, exhausted
 
 

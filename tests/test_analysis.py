@@ -8,13 +8,13 @@ import pytest
 
 import xfc.analysis
 from xfc.analysis import lemma_audit, tset_table, tsets_colex, w_z_sets
-from xfc.constructions import complete_layer, genl_equality_construction
+from xfc.constructions import genl_equality_construction
 from xfc.designs import sts
-from xfc.matrix import BinMatrix, mask_of
+from xfc.matrix import BinMatrix, layer_range, mask_of
 
 
 def design_plus_pairs(m):
-    return complete_layer(m, 2).concat(sts(m).incidence())
+    return layer_range(m, (2,)).concat(sts(m).incidence())
 
 
 def random_matrix(rng, m, max_cols=12):

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -15,8 +16,9 @@ import pytest
 import xfc
 import xfc.analysis
 import xfc.search
+from xfc.bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
 from xfc.cli import BOUNDS, main
-from xfc.designs import DesignCheck, sts, write_design
+from xfc.designs import DesignCheck, lambda_fold, sts, write_design
 from xfc.matrix import MAX_ROW_MASK_BITS, BinMatrix, read_matrix
 
 
@@ -26,23 +28,49 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+GENL = ["--t", "2", "--l", "1", "--lambda", "1", "--m", "7"]
+# the bound of each claim-bearing kind below, evaluated here because the
+# CLI reports the column count its construction checked against it
+CLAIMS = {
+    "exceeder": genl_bound(2, 1, 1, 4).exact + exceeder_gap(2, 1, 1).exact,
+    "q10": q10_lower(4, 6).exact,
+    "small-m-witness": q10_upper(4, 3).exact,
+    "split-1100": bound_1100(2, 7).exact,
+    "genl-equality": genl_bound(2, 1, 1, 7).exact,
+}
+
+
 @pytest.mark.parametrize("kind, flags, m, ncols, avoided", [
     ("exceeder", ["--t", "2", "--l", "1", "--lambda", "1"], 4, 16, "3,2,1"),
     ("q10", ["--q", "4", "--m", "6"], 6, 17, "4,1,1"),
     ("small-m-witness", ["--q", "4"], 3, 11, "4,1,1"),
     ("split-1100", ["--m", "7", "--a", "1", "--b", "1"], 7, 72, "5,2,2"),
+    ("genl-equality", GENL, 7, 37, "3,2,1"),
+    ("genl-equality", [*GENL, "--design", "{D}"], 7, 37, "3,2,1"),
+    ("kms", ["--m", "7", "--s", "3"], 7, 35, None),
+    ("layers", ["--m", "6", "--sums", "0..2,5"], 6, 28, None),
 ])
-def test_construct_meta_record_of_each_kind(capsys, kind, flags, m, ncols, avoided):
+def test_construct_meta_record_of_each_kind(capsys, tmp_path, kind, flags, m, ncols, avoided):
+    design = tmp_path / "sts7.des"
+    design.write_text(write_design(sts(7)))
+    argv = ["construct", kind, *(f.format(D=design) for f in flags), "--meta"]
     # without -o the record is followed by the matrix text
-    code, out, err = run(capsys, "construct", kind, *flags, "--meta")
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     record, text = out.split("\n", 1)
+    bound = CLAIMS.get(kind)
+    claimed = None if bound is None else {"numerator": bound.numerator, "denominator": bound.denominator,
+                                          "floor": bound.numerator // bound.denominator}
     assert json.loads(record) == {
-        "m": m, "ncols": ncols, "claimed_bound": {"numerator": ncols, "denominator": 1, "floor": ncols},
-        "avoided_configuration": avoided, "verified": True,
+        "m": m, "ncols": ncols, "claimed_bound": claimed, "avoided_configuration": avoided,
+        "verified": True,
     }
     A = read_matrix(text)
     assert (A.m, A.ncols) == (m, ncols)
+    # with -o the same record alone, and the same matrix in the file
+    target = tmp_path / "out.mat"
+    assert run(capsys, *argv, "-o", str(target)) == (0, record + "\n", "")
+    assert target.read_text() == text
 
 
 def test_construct_kms(capsys):
@@ -80,6 +108,49 @@ def test_format_closure_construct_to_contains(capsys, tmp_path):
     assert code == 1 and out == ""
     code, _, _ = run(capsys, "contains", "--config", "1,1,0", "--matrix", str(target), "--quiet")
     assert code == 0
+
+
+def test_genl_equality_built_in_design_matches_the_design_file(capsys, tmp_path):
+    des = tmp_path / "sts13x2.des"
+    des.write_text(write_design(lambda_fold(sts(13), 2)))
+    argv = ["construct", "genl-equality", "--t", "2", "--l", "0", "--lambda", "2", "--m", "13"]
+    built_in = run(capsys, *argv)
+    assert built_in[0] == 0 and read_matrix(built_in[1]).ncols == genl_bound(2, 0, 2, 13).exact == 144
+    assert run(capsys, *argv, "--design", str(des)) == built_in
+
+
+def test_built_in_designs_cover_t2_only(capsys):
+    refusal = (2, "", "error: built-in designs cover t=2 only\n")
+    assert run(capsys, "construct", "genl-equality", "--t", "3", "--l", "1", "--lambda", "1",
+               "--m", "7") == refusal
+    assert run(capsys, "audit", "--t", "3") == refusal
+
+
+OVERSIZED = {
+    "kms": ["construct", "kms", "--m", "40", "--s", "20"],
+    "layers": ["construct", "layers", "--m", "30", "--sums", "0..30"],
+    "q10": ["construct", "q10", "--q", "3", "--m", "200000"],
+    "genl-equality": ["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1",
+                      "--m", "100003"],
+    "audit": ["audit", "--m", "100003"],
+}
+
+
+def _cap_address_space():
+    # as ulimit -v: an enumeration that starts runs out of memory at once
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_constructions_are_refused_before_building(name):
+    env = dict(os.environ, PYTHONPATH=str(Path(xfc.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "xfc.cli", *OVERSIZED[name]], capture_output=True,
+                          text=True, env=env, preexec_fn=_cap_address_space)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "limit of" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_construct_with_explicit_design_file(capsys, tmp_path):
@@ -628,7 +699,7 @@ def test_every_export_has_a_caller():
     root = Path(__file__).resolve().parents[1]
     pkg = root / "src" / "xfc"
     exported = set(xfc._EXPORTS)
-    assert len(exported) == 48
+    assert len(exported) == 47
     users = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
     users += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
     used = set()

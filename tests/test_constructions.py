@@ -9,32 +9,45 @@ import pytest
 from xfc.bounds import genl_bound, pigeonhole_terms, q10_lower, q10_upper
 from xfc.constructions import (
     ConstructionError,
-    complete_layer,
     exceeder_construction,
     genl_equality_construction,
-    layer_range,
     q10_construction,
     small_m_pigeonhole_witness,
     split_1100_construction,
 )
 from xfc.designs import lambda_fold, sts
-from xfc.matrix import Block, RowSplit, block_support_count, contains_config
+from xfc.matrix import (MAX_CELLS, Block, RowSplit, block_support_count, contains_config,
+                        count_layers, layer_range)
 
 
 def test_complete_layer_counts_and_order():
-    L = complete_layer(4, 2)
+    L = layer_range(4, (2,))
     assert L.ncols == 6
     assert L.column_sets() == tuple(combinations(range(1, 5), 2))
-    assert complete_layer(5, 0).cols == (0,)
-    assert complete_layer(5, 5).cols == ((1 << 5) - 1,)
+    assert layer_range(5, (0,)).cols == (0,)
+    assert layer_range(5, (5,)).cols == ((1 << 5) - 1,)
     with pytest.raises(ValueError):
-        complete_layer(4, 5)
+        layer_range(4, (5,))
 
 
 def test_layer_range():
     assert layer_range(2, {0, 1, 2}).ncols == 4
     assert layer_range(4, range(5)).ncols == 16
     assert layer_range(7, {0, 1, 2, 7}).ncols == 30
+
+
+def test_layer_range_counts_its_cells_before_building():
+    assert [count_layers(9, sums, 1000) for sums in ((0,), (4,), (3, 9), range(10))] == [1, 126, 85, 512]
+    # a count past the limit stops there, without C(10^6, 5 * 10^5) in full
+    assert count_layers(10**6, (0, 5 * 10**5), 100) == 101
+    assert count_layers(5, range(6), 31) == 32
+    # 5792 and 5793 rows of the sum-1 layer sit either side of 2^25 cells
+    assert 5792 ** 2 <= MAX_CELLS < 5793 ** 2
+    assert layer_range(5792, (1,)).ncols == 5792
+    with pytest.raises(ValueError, match=f"layers on 5793 rows exceed the limit of {MAX_CELLS} cells"):
+        layer_range(5793, (1,))
+    with pytest.raises(ValueError, match="layers on 30 rows"):
+        layer_range(30, range(31))
 
 
 def test_genl_equality_m7():
@@ -62,6 +75,22 @@ def test_genl_equality_with_folded_design():
     A = genl_equality_construction(2, 1, 2, 7, lambda_fold(sts(7), 2))
     assert A.ncols == genl_bound(2, 1, 2, 7).exact
     assert not contains_config(Block(4, 2, 1), A)
+
+
+def test_genl_equality_builds_its_own_design_for_t2_only():
+    for ell, lam, m in ((1, 1, 7), (0, 2, 13), (1, 3, 9)):
+        built_in = genl_equality_construction(2, ell, lam, m)
+        assert built_in == genl_equality_construction(2, ell, lam, m, lambda_fold(sts(m), lam))
+    with pytest.raises(ValueError, match="built-in designs cover t=2 only"):
+        genl_equality_construction(3, 1, 1, 8)
+    with pytest.raises(ValueError, match="no Steiner triple system on 8 points"):
+        genl_equality_construction(2, 1, 1, 8)
+
+
+def test_q10_refuses_an_oversized_graph_before_building_it():
+    # 4,504,502 columns of 3,000 rows: the graph alone would take gigabytes
+    with pytest.raises(ValueError, match=f"4504502 columns on 3000 rows exceed the limit of {MAX_CELLS}"):
+        q10_construction(3002, 3000)
 
 
 def test_exceeder_small_case():

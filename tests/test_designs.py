@@ -7,6 +7,8 @@ from itertools import combinations
 import pytest
 
 from xfc.designs import (
+    MAX_FOLD_BLOCKS,
+    MAX_STS_BLOCKS,
     Design,
     DesignFormatError,
     divisibility_check,
@@ -108,6 +110,19 @@ def test_sts_rejects_bad_orders():
     for m in (5, 8, 11, 12):
         with pytest.raises(ValueError):
             sts(m)
+
+
+def test_oversized_designs_are_refused_before_building():
+    # 633 is the least admissible order past 2^16 triples
+    assert 627 * 626 // 6 <= MAX_STS_BLOCKS < 633 * 632 // 6
+    for m in (633, 100003):
+        with pytest.raises(ValueError, match=f"exceed the triple system limit of {MAX_STS_BLOCKS}"):
+            sts(m)
+    assert 7 * 149796 <= MAX_FOLD_BLOCKS < 7 * 149797
+    with pytest.raises(ValueError, match=f"1048579 blocks exceed the design limit of {MAX_FOLD_BLOCKS}"):
+        lambda_fold(sts(7), 149797)
+    with pytest.raises(ValueError, match="design limit"):
+        lambda_fold(sts(7), 10**9)
 
 
 def test_sts_incidence_cross_check():
