@@ -38,18 +38,19 @@ def genl_equality_construction(t: int, ell: int, lam: int, m: int,
     incidence of a t-(m, t+1, lam) design, by default (t = 2 only) the
     lam-fold of sts(m).  Hits the genl bound exactly and avoids lam+2
     copies of the t-ones/ell-zeros column."""
+    if not t > ell >= 0:
+        raise ValueError("need t > ell >= 0")
     if design is None:
         if t != 2:
             raise ValueError("built-in designs cover t=2 only")
-        design = lambda_fold(sts(m), lam)
-    if not t > ell >= 0:
-        raise ValueError("need t > ell >= 0")
-    params = (m, t + 1, t, lam)  # a Design's fields m, k, t, lam
-    if design[:4] != params:
-        raise ConstructionError(f"design parameters {design[:4]} do not match required {params}")
-    check = verify_design(design.blocks, m, t + 1, t, lam)
-    if not check.ok:
-        raise ConstructionError(f"design failed verification, witness {check.witness}")
+        design = lambda_fold(sts(m), lam)  # sts verified its triples; a fold of a design is a design
+    else:
+        params = (m, t + 1, t, lam)  # a Design's fields m, k, t, lam
+        if design[:4] != params:
+            raise ConstructionError(f"design parameters {design[:4]} do not match required {params}")
+        check = verify_design(design.blocks, m, t + 1, t, lam)
+        if not check.ok:
+            raise ConstructionError(f"design failed verification, witness {check.witness}")
     A = layer_range(m, range(t + 1)).concat(design.incidence())
     A = A.concat(layer_range(m, range(m - ell + 1, m + 1)))
     return _certified(A, genl_bound(t, ell, lam, m).exact, Block(lam + 2, t, ell),

@@ -14,6 +14,7 @@ every operation returns fresh objects.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import lru_cache
 from itertools import combinations
 
 # Containment refuses a pattern whose row masks, one per distinct pattern
@@ -260,10 +261,8 @@ def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
     on their own than it has rows.  A leaf is injective once every count
     reaches want: two pattern rows differ in some column, whose segment a
     shared A row empties."""
-    cols, need = list(want), list(want.values())
-    n, nseg = A.ncols, len(cols)
-    # bit j of a pattern row: distinct column j's entry in that row
-    prow = sorted((int("0" + s, 2) for s in _row_strings(k, cols)), reverse=True)
+    need, n, nseg = list(want.values()), A.ncols, len(want)
+    prow, end, starts = _pattern_rows(k, tuple(want))
     distinct = set(prow)
     if len(distinct) * A.m * nseg * n > MAX_ROW_MASK_BITS:
         raise ValueError(f"containment row masks exceed the limit of {MAX_ROW_MASK_BITS} bits")
@@ -273,10 +272,6 @@ def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
         flip = int("0" + "".join("0" * n if v >> j & 1 else "1" * n for j in reversed(range(nseg))), 2)
         masks[v] = [rep ^ flip for rep in reps]
     rowmasks = [masks[v] for v in prow]
-    end = [k] * k  # end[d]: one past the last depth of d's group of equal pattern rows
-    for d in range(k - 2, -1, -1):
-        end[d] = end[d + 1] if prow[d] == prow[d + 1] else d + 1
-    starts = [d for d in range(k) if d == 0 or prow[d] != prow[d - 1]]
     # later[e]: (masks, rows) of each group starting at depth e or after
     later = {e: [(rowmasks[s], end[s] - s) for s in starts if s >= e] for e in {0, *end}}
     aheads = [later[e] for e in end]
@@ -316,6 +311,20 @@ def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
             need = [c + 1 for c in counts]
             total = sum(need)
         d -= 1
+
+
+@lru_cache(maxsize=16)
+def _pattern_rows(k: int, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The pattern side of _row_maps, built once per k and column order:
+    the k pattern rows sorted descending, bit j of a row being distinct
+    column j's entry in it; end[d], one past the last depth of d's group of
+    equal pattern rows; and the depths where the groups start."""
+    prow = sorted((int("0" + s, 2) for s in _row_strings(k, cols)), reverse=True)
+    end = [k] * k
+    for d in range(k - 2, -1, -1):
+        end[d] = end[d + 1] if prow[d] == prow[d + 1] else d + 1
+    starts = [d for d in range(k) if d == 0 or prow[d] != prow[d - 1]]
+    return tuple(prow), tuple(end), tuple(starts)
 
 
 def _row_strings(m: int, cols) -> list[str]:

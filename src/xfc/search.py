@@ -10,7 +10,8 @@ columns.  The search keeps, for each k up to q-1, the bitmask of splits
 hit at least k times, so feasibility of a candidate is one AND of its
 split mask with the saturated set.  The masks are built once per run, in
 candidate order, by the greedy incumbent as it goes.  It stops early only
-at the root bound, where no DFS runs, so a DFS finds every mask drawn.
+at the root bound, where no DFS runs, so the other first-fit passes of the
+incumbent and a DFS find every mask drawn.
 
 With rows 0..m-1 and the colex rank sum_j C(r_j, j) of a subset
 {r_1 < ... < r_k}, split (T, Z) is bit W*rank(T) + rank(Z), W = C(m, ell).
@@ -44,16 +45,30 @@ repeatable column counted cap times, bounds the columns still to come:
 a cardinality knapsack.  A child is pushed only if its depth plus its
 knapsack beats the best, and a node stops when the knapsack over the
 rest of its list does.  The root needs no masks: its budget is cap times
-the split count, and when its knapsack does not beat the greedy
-incumbent no DFS runs.  The greedy itself stops once it holds as many
-columns as the root knapsack: that bounds every feasible multiset, so
-no later candidate could join, and the rest of the masks are never
-built.  Every listed column weighs at least the least weight at or
+the split count, and when its knapsack does not beat the incumbent no
+DFS runs.  The greedy, a first-fit in candidate order, stops once it
+holds as many columns as the root knapsack: that bounds every feasible
+multiset, so no later candidate could join, and the rest of the masks
+are never built.  Every listed column weighs at least the least weight at or
 after its position, and the live budget is at most cap
 times the split count less the weights chosen, so each knapsack is at
 most floor(budget / least remaining weight), the bound that counts every
 split.  With an incumbent at least as large, the tree searched is a
 subtree of that bound's tree.
+
+A greedy that falls short of the root knapsack can be far from the
+optimum when a heavy layer completes it: at paper 3,2,1 with m = 5 and 6
+the optima hold every column of the sum m - 1 layer and no sum-3 column,
+while the greedy takes a few sum-3 columns that crowd out the rest.  So
+the incumbent is the first strictly largest of the greedy and one more
+first-fit per layer s outside the lightest weight class, which takes
+that class, then layer s, then every other column, each in candidate
+order; the passes stop at one that meets the root knapsack.  They run
+per layer, not per class, since two sums can share a weight (3 and 4 at
+m = 5).  A larger incumbent only prunes more: a subtree the DFS cuts
+holds no deeper node than the best it was cut against, so the best only
+rises and the tree only shrinks.  Paper 3,2,1 is proven at the root for
+m = 5 and 6 (20 and 55 nodes from the greedy).
 
 The knapsack pools the splits of every t-set into one budget, while the
 paper's bound argues per t-set, so a frame also keeps each t-set's room:
@@ -74,8 +89,8 @@ pooled budget still allows 8.75 triples.  The cap cuts only
 subtrees that cannot beat the best, and the search meets the same
 improvements in the same order, so the optima, proofs and witnesses are
 those of the uncapped search: paper 3,2,1 is proven in 138 nodes at
-m = 7 (633 uncapped), 181,980 at m = 8 (1,272,746) and 3,892 at m = 9
-(96,492).
+m = 7 (633 uncapped), 181,974 at m = 8 (1,272,740) and 3,890 at m = 9
+(96,490).
 
 Row symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks and
 Roy, KR 1996).  Rows that agree on every chosen column form a cell.  In
@@ -130,6 +145,10 @@ MAX_STACK_BYTES = 1 << 28
 
 @dataclass(frozen=True)
 class SearchProblem:
+    """The most m-row columns, with sums in ``sums`` and repeats as
+    ``policy`` allows, that avoid ``config``; a search stops after
+    ``node_budget`` nodes when one is given."""
+
     m: int
     config: Configuration
     sums: frozenset[int] | None = None  # None: all column sums 0..m
@@ -330,15 +349,17 @@ class _Kernel:
         self.tsets.append((comb(self.m - c.bit_count(), self.ell), ranks))
         return mask
 
-    def greedy(self) -> list[int]:
-        """First-fit incumbent in candidate order.  It stops once it holds
-        root_bound columns: that bounds every feasible multiset, so no later
-        candidate could join, and the rest of the masks are never built."""
-        levels, sol, bound = self.root_levels, [], self.root_bound
+    def first_fit(self, order) -> list[int]:
+        """Take each candidate index of order, as many times as it may
+        repeat, while it keeps every split under q hits.  It stops once it
+        holds root_bound columns: that bounds every feasible multiset, so no
+        later candidate could join.  A mask not yet drawn is drawn on first
+        use, so an order that is not ascending needs every mask drawn."""
+        levels, sol, bound, masks = self.root_levels, [], self.root_bound, self.masks
         if not bound:
             return sol
-        for i, c in enumerate(self.cols):
-            hm = self.draw(c)
+        for i in order:
+            hm = masks[i] if i < len(masks) else self.draw(self.cols[i])
             while not hm & levels[-1]:
                 levels = levels[:1] + tuple(lv | hm & below for lv, below in zip(levels[1:], levels))
                 sol.append(i)
@@ -347,6 +368,30 @@ class _Kernel:
                 if not self.repeatable[i]:
                     break
         return sol
+
+    def greedy(self) -> list[int]:
+        """First-fit in candidate order; once it meets root_bound the rest
+        of the masks are never built."""
+        return self.first_fit(range(len(self.cols)))
+
+    def incumbent(self) -> list[int]:
+        """The greedy, or when it falls short of root_bound, the first
+        strictly largest of it and one more first-fit per layer s outside
+        the lightest weight class, stopping at one that meets root_bound.
+        Such a pass takes the lightest class, then layer s, then the rest,
+        each in candidate order, so it can fill a heavy layer that the
+        greedy's earlier layers crowd out.  Returned in candidate order."""
+        best = self.greedy()
+        if len(best) == self.root_bound:
+            return best
+        sums, wclass = [c.bit_count() for c in self.cols], self.wclass
+        for s in sorted({s for s, k in zip(sums, wclass) if k}):
+            sol = self.first_fit(sorted(range(len(sums)), key=lambda i: (wclass[i] > 0, sums[i] != s)))
+            if len(sol) > len(best):
+                best = sorted(sol)
+                if len(best) == self.root_bound:
+                    break
+        return best
 
     def solve(self, incumbent: int, node_budget: int | None):
         """Iterative DFS over the canonical column multisets.
@@ -433,10 +478,10 @@ def exact_max(p: SearchProblem) -> SearchResult:
         result = _exact_max_general(p, p.node_budget)
     else:
         kernel = _Kernel(p)
-        greedy_sol = kernel.greedy()
-        best_sol, nodes, exhausted = kernel.solve(len(greedy_sol), p.node_budget)
+        incumbent = kernel.incumbent()
+        best_sol, nodes, exhausted = kernel.solve(len(incumbent), p.node_budget)
         if best_sol is None:
-            best_sol = greedy_sol
+            best_sol = incumbent
         witness = BinMatrix(p.m, tuple(kernel.free_cols) + tuple(kernel.cols[i] for i in best_sol))
         result = SearchResult(witness, nodes, not exhausted)
     if not verify_witness(p, result.witness):

@@ -505,6 +505,12 @@ def test_search_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--m", "7", "--config", "3,2,1", "--policy", "paper",
                        "--budget-nodes", "5")
     assert code == 0 and json.loads(out)["proof_of_optimality"] is False
+    # a first-fit pass per layer meets the root bound at paper m = 5, so
+    # even a budget of 0 nodes proves the optimum
+    code, out, _ = run(capsys, "search", "--m", "5", "--config", "3,2,1", "--policy", "paper",
+                       "--budget-nodes", "0")
+    assert code == 0
+    assert json.loads(out) == {"optimum": 22, "nodes": 1, "proof_of_optimality": True, "witness_ncols": 22}
 
 
 def test_search_general_pattern_file(capsys, tmp_path):

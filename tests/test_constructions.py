@@ -6,6 +6,8 @@ from math import comb
 
 import pytest
 
+import xfc.constructions
+import xfc.designs
 from xfc.bounds import genl_bound, pigeonhole_terms, q10_lower, q10_upper
 from xfc.constructions import (
     ConstructionError,
@@ -85,6 +87,31 @@ def test_genl_equality_builds_its_own_design_for_t2_only():
         genl_equality_construction(3, 1, 1, 8)
     with pytest.raises(ValueError, match="no Steiner triple system on 8 points"):
         genl_equality_construction(2, 1, 1, 8)
+
+
+def test_built_in_designs_are_verified_once(monkeypatch):
+    # sts(m) verifies its triples and a fold of a design is a design, so a
+    # built-in construction verifies once; a design the caller passes is
+    # verified by the construction
+    calls = []
+    verify = xfc.designs.verify_design
+
+    def counted(*args):
+        calls.append(args[1:])
+        return verify(*args)
+
+    monkeypatch.setattr(xfc.designs, "verify_design", counted)
+    monkeypatch.setattr(xfc.constructions, "verify_design", counted)
+    for build, want in ((lambda: genl_equality_construction(2, 1, 1, 7), [(7, 3, 2, 1)]),
+                        (lambda: genl_equality_construction(2, 0, 2, 13), [(13, 3, 2, 1)]),
+                        (lambda: split_1100_construction(13, 1, 1), [(13, 3, 2, 1)])):
+        calls.clear()
+        build()
+        assert calls == want
+    design = lambda_fold(sts(9), 2)
+    calls.clear()
+    genl_equality_construction(2, 1, 2, 9, design)
+    assert calls == [(9, 3, 2, 2)]
 
 
 def test_q10_refuses_an_oversized_graph_before_building_it():

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 from conftest import brute_contains
 
+import xfc.matrix
 import xfc.search
 from xfc.bounds import design_tplus1_bound, designconfig_bound, genl_bound
 from xfc.constructions import exceeder_construction, q10_construction
@@ -155,6 +156,28 @@ def test_oracle_visits_only_pattern_free_sets(monkeypatch):
         assert (r.optimum, r.nodes, len(made)) == pinned, (m, sums)
 
 
+def test_oracle_transposes_its_pattern_once(monkeypatch):
+    # the m = 4 oracle asks 233 containment questions of one pattern, 216 of
+    # which reach the row-map search: each transposes its matrix, and the
+    # pattern's rows are built once (432 transpositions when built per call)
+    xfc.matrix._pattern_rows.cache_clear()
+    searches, transposed, verdicts = [], [], []
+    row_maps, row_strings, contains = xfc.matrix._row_maps, xfc.matrix._row_strings, xfc.search.contains_config
+    monkeypatch.setattr(xfc.matrix, "_row_maps", lambda *args: searches.append(1) or row_maps(*args))
+    monkeypatch.setattr(xfc.matrix, "_row_strings", lambda *args: transposed.append(1) or row_strings(*args))
+
+    def recorded(config, A):
+        verdicts.append((A, contains(config, A)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(xfc.search, "contains_config", recorded)
+    r = exhaustive_oracle(SearchProblem(4, Block(2, 1, 1)))
+    assert (r.optimum, r.nodes, len(verdicts)) == (6, 13, 233)
+    assert (len(searches), len(transposed)) == (216, 217)
+    pattern = Block(2, 1, 1).pattern()
+    assert all(v == brute_contains(pattern, A) for A, v in verdicts)
+
+
 def test_oracle_agreement_sum_restricted_m4():
     # wider rows than the main sweep; sum restrictions keep the oracle in range
     for sums in (frozenset({1, 2}), frozenset({2, 3}), frozenset({0, 2, 4}), frozenset({1, 3})):
@@ -224,28 +247,35 @@ def test_paper_policy_repeats_only_middle_sums():
 def test_paper_policy_m8_proof():
     # the first proof where the divisibility condition fails: no 2-(8,3,1)
     # design exists, since C(8,2)/3 is not an integer, and the optimum is one
-    # below the 47 columns genl_bound allows; 1,272,746 nodes without the
-    # per-t-set cap
+    # below the 47 columns genl_bound allows; 1,272,740 nodes without the
+    # per-t-set cap.  The optimum is the incumbent, which fills layer 7 in
+    # place of a triple packing
     p = SearchProblem(8, Block(3, 2, 1), policy="paper")
     r = exact_max(p)
-    assert (r.optimum, r.proof_of_optimality, r.nodes) == (46, True, 181_980)
+    assert (r.optimum, r.proof_of_optimality, r.nodes) == (46, True, 181_974)
     assert int(genl_bound(2, 1, 1, 8).exact) == 47
     assert verify_witness(p, r.witness)
+    assert sorted(Counter(r.witness.column_sums()).items()) == [(0, 1), (1, 8), (2, 28), (7, 8), (8, 1)]
 
 
 def test_paper_policy_m9_proof():
     # the optimum meets genl_bound exactly, and the witness's sum-3 columns
-    # are a Steiner triple system STS(9); 96,492 nodes without the per-t-set
+    # are a Steiner triple system STS(9); 96,490 nodes without the per-t-set
     # cap, 47 times fewer than m = 8 with it
     p = SearchProblem(9, Block(3, 2, 1), policy="paper")
     r = exact_max(p)
-    assert (r.optimum, r.proof_of_optimality, r.nodes) == (59, True, 3_892)
+    assert (r.optimum, r.proof_of_optimality, r.nodes) == (59, True, 3_890)
     assert genl_bound(2, 1, 1, 9).exact == 59
     assert verify_witness(p, r.witness)
     sums = r.witness.column_sums()
     assert sorted(Counter(sums).items()) == [(0, 1), (1, 9), (2, 36), (3, 12), (9, 1)]
     blocks = [rows for rows, s in zip(r.witness.column_sets(), sums) if s == 3]
     assert verify_design(blocks, 9, 3, 2, 1).ok
+
+
+def test_search_problem_has_its_own_docstring():
+    # without one, @dataclass calls inspect.signature at import to make one
+    assert SearchProblem.__doc__ and not SearchProblem.__doc__.startswith("SearchProblem(")
 
 
 def test_node_budget_gives_best_effort():
@@ -373,6 +403,44 @@ def test_greedy_incumbent_sizes():
         assert len(kernel.free_cols) + len(kernel.greedy()) == want, p
 
 
+def test_incumbent_proves_paper_m5_and_m6_at_the_root():
+    # first-fit stops at 20 and 27 columns against root bounds of 22 and 29;
+    # the pass that takes layer m - 1 right after the lightest layer, sum 2,
+    # fills it, the optimum has no sum-3 columns, and no DFS runs
+    for m, hist in ((5, [(0, 1), (1, 5), (2, 10), (4, 5), (5, 1)]),
+                    (6, [(0, 1), (1, 6), (2, 15), (5, 6), (6, 1)])):
+        p = SearchProblem(m, Block(3, 2, 1), policy="paper")
+        r = exact_max(p)
+        assert (r.optimum, r.nodes, r.proof_of_optimality) == (sum(n for _, n in hist), 1, True), m
+        assert sorted(Counter(r.witness.column_sums()).items()) == hist, m
+        assert verify_witness(p, r.witness), m
+
+
+def test_incumbent_never_costs_the_search():
+    # every bounded Block(q <= 3, t <= 2, ell <= 2) at m <= 5: the incumbent
+    # is a feasible multiset in candidate order, never smaller than the
+    # greedy, and the DFS started from it pushes no more nodes
+    better = 0
+    for m in range(1, 6):
+        for q in (1, 2, 3):
+            for t in range(3):
+                for ell in range(3):
+                    for policy in POLICIES:
+                        if policy == "free" and (t or ell):
+                            continue  # unbounded: sum 0 or sum m hits no split
+                        p = SearchProblem(m, Block(q, t, ell), policy=policy)
+                        first, kernel = _Kernel(p), _Kernel(p)
+                        greedy, incumbent = first.greedy(), kernel.incumbent()
+                        assert incumbent == sorted(incumbent), p
+                        witness = BinMatrix(m, tuple(kernel.free_cols) + tuple(kernel.cols[i] for i in incumbent))
+                        assert verify_witness(p, witness), p
+                        assert len(incumbent) >= len(greedy), p
+                        better += len(incumbent) > len(greedy)
+                        assert kernel.solve(len(incumbent), None)[1] <= first.solve(len(greedy), None)[1], p
+    # 39 of 285 instances; the DFS pushes 326 nodes in all, 1,121 from the greedy
+    assert better == 39
+
+
 SEARCH_WIDE = ((12, Block(2, 2, 2)), (13, Block(2, 2, 1)), (13, Block(2, 3, 1)), (13, Block(2, 3, 2)))
 
 
@@ -418,18 +486,20 @@ def test_greedy_stops_drawing_masks_at_the_root_bound(drawn):
 
 
 def test_each_mask_is_built_once_per_run(drawn):
-    # search-deep: the greedy falls short of the root bound, so a DFS runs;
-    # a greedy that falls short has drawn every mask, and the DFS draws none
-    for p, want in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 25),
-                    (SearchProblem(6, Block(3, 2, 1), policy="paper"), 56),
-                    (SearchProblem(7, Block(3, 2, 1), policy="paper"), 119),
-                    (SearchProblem(7, Block(2, 2, 1), sums=frozenset(range(3, 7)), policy="free"), 98)):
+    # search-deep: the greedy falls short of the root bound, so the
+    # per-layer first-fit passes run, then a DFS unless a pass meets the
+    # bound (m = 5 and 6); a greedy that falls short has drawn every mask,
+    # and neither the passes nor the DFS draw one
+    for p, want, nodes in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 25, 1),
+                           (SearchProblem(6, Block(3, 2, 1), policy="paper"), 56, 1),
+                           (SearchProblem(7, Block(3, 2, 1), policy="paper"), 119, 138),
+                           (SearchProblem(7, Block(2, 2, 1), sums=frozenset(range(3, 7)), policy="free"), 98, 4)):
         kernel = _Kernel(p)
         assert len(kernel.greedy()) < kernel.root_bound, p
         assert len(kernel.masks) == len(kernel.tsets) == len(kernel.cols), p
         drawn.clear()
         r = exact_max(p)
-        assert r.proof_of_optimality and r.nodes > 1, p
+        assert (r.proof_of_optimality, r.nodes) == (True, nodes), p
         assert len(drawn) == want == len(_Kernel(p).cols), p
 
 
@@ -503,35 +573,16 @@ def test_witnesses_are_pinned():
 # the root.  The digest is the sha256 of the sweep's witnesses, repr(cols)
 # and a newline each, taken from the uncapped search.
 UNCAPPED_NODES = """
-2 2 0 1   3 1   3
-2 3 0 1   1 1   5
-3 2 0 1   6 1   6
-3 2 0 2   4 1   4
-3 3 0 1   5 1  16
-3 3 0 2   1 1   7
-4 2 0 1  10 1  10
-4 2 0 2  11 1  11
-4 2 1 2   8 1   8
-4 3 0 1  15 1  30
-4 3 0 2   9 1  37
-4 3 1 1  12 1  12
-4 3 1 2   1 1  17
+4 3 0 2   2 1   1
 4 3 2 0   7 1   7
-5 2 0 1  15 1  15
-5 2 0 2  29 1  29
-5 2 1 2  25 1  25
-5 3 0 1  21 1  48
-5 3 0 2  41 1 105
-5 3 1 1  21 1  21
-5 3 1 2  24 1 129
+5 3 0 2   3 1   1
 5 3 2 0  14 1  14
-5 3 2 1  20 1  20
 """
-UNCAPPED_WITNESS_DIGEST = "7e24eaab255d725a"
+UNCAPPED_WITNESS_DIGEST = "2ad78376afa96379"
 # The same for Block(3, t, ell) at m = 6 on sums {3, 4}, keyed by (t, ell),
 # where a t-set meets columns of two sums and its room falls unevenly.
-UNCAPPED_NODES_M6 = {(1, 0): (5, 1, 1), (1, 1): (10, 20, 20), (1, 2): (237, 194, 194),
-                     (2, 0): (36, 62, 62), (2, 1): (94, 179, 179), (2, 2): (1297, 439, 439)}
+UNCAPPED_NODES_M6 = {(1, 0): (5, 1, 1), (1, 1): (10, 12, 12), (1, 2): (44, 1, 1),
+                     (2, 0): (36, 62, 62), (2, 1): (94, 179, 179), (2, 2): (1297, 1, 1)}
 UNCAPPED_WITNESS_DIGEST_M6 = "7dc452e25bfe075d"
 
 
