@@ -35,7 +35,8 @@ parent's from the child's own position on (the next one if the column
 may not repeat), less the candidates that hit a split the child
 saturates.  Saturation only grows along a path, so a dropped candidate
 never returns; one that fails the row-symmetry test below stays listed,
-since the cell starts only grow and it may pass deeper down.  Only splits in U, the OR of the listed masks, can still
+since that test is made afresh at each depth and it may pass deeper
+down.  Only splits in U, the OR of the listed masks, can still
 be hit, each cap minus its count more times, so the live budget
 sum_{k=1..cap} popcount(U & ~levels[k]) caps the total weight of the
 columns still to come.  A column of sum s hits C(s, t) * C(m-s, ell)
@@ -68,7 +69,7 @@ per layer, not per class, since two sums can share a weight (3 and 4 at
 m = 5).  A larger incumbent only prunes more: a subtree the DFS cuts
 holds no deeper node than the best it was cut against, so the best only
 rises and the tree only shrinks.  Paper 3,2,1 is proven at the root for
-m = 5 and 6 (20 and 55 nodes from the greedy).
+m = 5 and 6 (20 and 29 nodes from the greedy).
 
 The knapsack pools the splits of every t-set into one budget, while the
 paper's bound argues per t-set, so a frame also keeps each t-set's room:
@@ -88,24 +89,26 @@ column is chosen keeps a room of 10 - 5 = 5, enough for one triple
 pooled budget still allows 8.75 triples.  The cap cuts only
 subtrees that cannot beat the best, and the search meets the same
 improvements in the same order, so the optima, proofs and witnesses are
-those of the uncapped search: paper 3,2,1 is proven in 138 nodes at
-m = 7 (633 uncapped), 181,974 at m = 8 (1,272,740) and 3,890 at m = 9
-(96,490).
+those of the uncapped search: paper 3,2,1 is proven in 33 nodes at
+m = 7 (39 uncapped), 1,175 at m = 8 (11,946) and 78 at m = 9 (109).
 
 Row symmetry is broken by a lex-leader test (Crawford, Ginsberg, Luks and
-Roy, KR 1996).  Rows that agree on every chosen column form a cell.  In
-the candidate order, a column is least in its orbit under the row
-permutations that fix the chosen prefix exactly when its ones sit in the
-lowest rows of each cell, and if every chosen column has that property,
-every cell is an interval of consecutive rows.  The search keeps
-``bounds``, the mask of first rows of the cells (1 at the root, and
-``x ^ (x << 1)`` joins it when column x is chosen), and admits a
-candidate only if each run of ones in it starts at a cell start:
-``runstart & ~bounds == 0`` with ``runstart = c & ~(c << 1)``.  The
-lexicographically least row-permuted image of any feasible multiset
-passes this test at every depth, and row permutations preserve split
-counts, allowed sums and the repeat policy, so the optimum and the proof
-are those of the unrestricted search.
+Roy, KR 1996) under the row swaps that fix the chosen prefix, a form of
+isomorphism pruning (Margot 2002).  Let tau_r swap rows r-1 and r.  The
+search keeps ``bounds``, row 0 and each row r whose tau_r moves the chosen
+multiset, and admits a candidate only if each run of ones in it starts at
+a row of ``bounds``: ``runstart & ~bounds == 0`` with
+``runstart = c & ~(c << 1)``.  Let F be the lexicographically least
+row-permuted image of a feasible multiset, sorted in candidate order, and
+x the column after a prefix P of F.  If tau_r fixes P and a run of ones of
+x starts at r, then tau_r x, a one moved up to row r-1, comes before x, so
+tau_r F, sorted, is less than F.  So F passes the test at every depth;
+each depth's test is a necessary condition of its own, and a row may
+leave ``bounds`` deeper down.  Row permutations preserve split counts,
+allowed sums and the repeat policy, so the optimum and the proof are
+those of the unrestricted search.  tau_r fixes the multiset iff each pair
+{y, tau_r y} is chosen equally often, so the search counts the unequal
+pairs per row; choosing x or undoing it changes only the pairs through x.
 
 The exhaustive oracle below shares none of this machinery.  It is the
 subset search for general patterns: containment only grows when columns
@@ -380,13 +383,16 @@ class _Kernel:
         the lightest weight class, stopping at one that meets root_bound.
         Such a pass takes the lightest class, then layer s, then the rest,
         each in candidate order, so it can fill a heavy layer that the
-        greedy's earlier layers crowd out.  Returned in candidate order."""
+        greedy's earlier layers crowd out; a pass in the greedy's own order
+        is skipped.  Returned in candidate order."""
         best = self.greedy()
         if len(best) == self.root_bound:
             return best
         sums, wclass = [c.bit_count() for c in self.cols], self.wclass
+        every = list(range(len(sums)))
         for s in sorted({s for s, k in zip(sums, wclass) if k}):
-            sol = self.first_fit(sorted(range(len(sums)), key=lambda i: (wclass[i] > 0, sums[i] != s)))
+            order = sorted(every, key=lambda i: (wclass[i] > 0, sums[i] != s))
+            sol = best if order == every else self.first_fit(order)  # a pass in the greedy's order is the greedy
             if len(sol) > len(best):
                 best = sorted(sol)
                 if len(best) == self.root_bound:
@@ -406,7 +412,7 @@ class _Kernel:
         # and one count per class
         nclasses = len(self.class_weights)
         self.guard_stack(self.frame_masks + 8 * (len(cols) + comb(self.m, self.t) + nclasses) + 56)
-        # rows where a run of ones starts; canonical iff all are cell starts
+        # rows where a run of ones starts; admitted iff each is in bounds
         runstart = [c & ~(c << 1) for c in cols]
         wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
         # every mask is drawn: a greedy short of root_bound ran to the end
@@ -414,11 +420,28 @@ class _Kernel:
         drops, capped = self.class_drop, self.capped
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False
+        # swaps[i]: (bit r, r, index of the swapped column) per swap of rows
+        # r-1 and r that moves cols[i]; mult[i]: how often cols[i] is chosen;
+        # moved[r]: the pairs {y, y swapped} chosen unequally often
+        index, mult, moved = {c: i for i, c in enumerate(cols)}, [0] * len(cols), [0] * self.m
+        swaps = [[(1 << r, r, index[c ^ 3 << r - 1]) for r in range(1, self.m) if (c >> r ^ c >> r - 1) & 1]
+                 for c in cols]
+
+        def tally(i: int, step: int, bounds: int) -> int:
+            """Choose cols[i] step more times, and update bounds."""
+            a = mult[i]
+            mult[i] = a + step
+            for b, r, j in swaps[i]:
+                n = mult[j]
+                moved[r] += (n == a) - (n == a + step)
+                bounds = bounds | b if moved[r] else bounds & ~b
+            return bounds
+
         # per node: its feasible candidates in order, the position of the
-        # next child, the class counts of cands[pos:], the row cell starts,
-        # the level masks, the split budget (cap * nsplits at the root),
-        # each t-set's room, the sum over its splits of cap minus the count,
-        # and per class k, sum_T floor(room[T] / drops[k])
+        # next child, the class counts of cands[pos:], the level masks, the
+        # split budget (cap * nsplits at the root), each t-set's room, the
+        # sum over its splits of cap minus the count, and per class k,
+        # sum_T floor(room[T] / drops[k]); bounds is undone by tally on pop
         cands, pos, counts = list(range(len(cols))), 0, self.root_counts.copy()
         bounds, levels, budget = 1, self.root_levels, cap * self.nsplits
         room = [cap * comb(self.m - self.t, self.ell)] * comb(self.m, self.t)
@@ -450,7 +473,8 @@ class _Kernel:
             else:  # no child left here, or the bound cuts the rest of the node
                 if not stack:
                     break
-                cands, pos, counts, bounds, levels, budget, room, fits = stack.pop()
+                cands, pos, counts, levels, budget, room, fits = stack.pop()
+                bounds = tally(cands[pos - 1], -1, bounds)
                 continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
@@ -458,14 +482,13 @@ class _Kernel:
                 break
             # pushed past i, so the cands[pos - 1] on the stack are the columns chosen
             counts[wclass[i]] -= units[i]
-            stack.append((cands, pos + 1, counts, bounds, levels, budget, room, fits))
+            stack.append((cands, pos + 1, counts, levels, budget, room, fits))
             fits = [f - sum(room[r] // d - (room[r] - drop) // d for r in ranks) for f, d in zip(fits, drops)]
             room = room.copy()
             for r in ranks:
                 room[r] -= drop
-            x = cols[i]
             cands, pos, counts, levels, budget = child, 0, ccounts, lv, cbudget
-            bounds |= full & (x ^ (x << 1))
+            bounds = tally(i, 1, bounds)
             if depth + 1 > best_n:
                 best_n, best_sol = depth + 1, [c[p - 1] for c, p, *_ in stack]
         return best_sol, nodes, exhausted
