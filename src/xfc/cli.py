@@ -10,9 +10,9 @@ decimals.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 # Each subcommand imports the library modules it runs, so a process loads
 # no more of the package than its subcommand needs.
@@ -314,87 +314,171 @@ def cmd_audit(args) -> int:
     return 0 if ok else NEGATIVE
 
 
-def _add_pattern(p: argparse.ArgumentParser) -> None:
-    pattern = p.add_mutually_exclusive_group(required=True)
-    pattern.add_argument("--config", type=str, default=None, help="block pattern as q,t,l")
-    pattern.add_argument("--config-file", type=str, default=None, help="general pattern matrix file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="xfc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's entry: its handler, its help, its positionals as (name,
+# kind), its flags as (name, kind, default, help), and the flags of which
+# exactly one must be given.  A kind is int, str, bool (a switch, True when
+# given) or a tuple of choices; a REQUIRED default makes the flag required,
+# and every positional is required.  A flag's attribute is its name without
+# the dashes and with "_" for "-", except that --lambda is read as lam.
+# Every process reads argv against these tuples in one pass, which starts
+# several ms sooner than importing and building an argparse parser.
+REQUIRED = object()
+ALIASES = {"-o": "--out"}
+M, T, L, LAM = (("--m", int, None, "row count m"), ("--t", int, None, "parameter t"),
+                ("--l", int, None, "parameter l"), ("--lambda", int, None, "parameter lambda"))
+Q, K = ("--q", int, None, "parameter q"), ("--k", int, None, "parameter k")
+PATTERN = (("--config", str, None, "block pattern as q,t,l"),
+           ("--config-file", str, None, "general pattern matrix file"))
+ONE_PATTERN = ("--config", "--config-file")
 
-    p = sub.add_parser("construct", help="emit a named construction in matrix text format")
-    p.add_argument("kind", choices=["kms", "layers", "genl-equality", "exceeder", "q10",
-                                    "small-m-witness", "split-1100"])
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--sums", type=str, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--design", type=str, default=None, help="design file for genl-equality")
-    p.add_argument("-o", "--out", type=str, default=None, help="write the matrix to a file")
-    p.add_argument("--meta", action="store_true", help="print a JSON record of the claims")
-    p.set_defaults(func=cmd_construct)
+COMMANDS = {
+    "construct": (cmd_construct, "emit a named construction in matrix text format",
+                  (("kind", ("kms", "layers", "genl-equality", "exceeder", "q10", "small-m-witness",
+                             "split-1100")),),
+                  (M, ("--s", int, None, "column sum for kms"), ("--sums", str, None, "sums for layers"),
+                   T, L, LAM, Q, ("--a", int, None, "parameter a"), ("--b", int, None, "parameter b"),
+                   ("--design", str, None, "design file for genl-equality"),
+                   ("--out", str, None, "write the matrix to a file"),
+                   ("--meta", bool, False, "print a JSON record of the claims")), ()),
+    "contains": (cmd_contains, "decide configuration containment", (),
+                 (*PATTERN, ("--matrix", str, REQUIRED, "matrix file"),
+                  ("--quiet", bool, False, "no output; exit 1 when not contained"),
+                  ("--json", bool, False, "print a JSON record")), ONE_PATTERN),
+    "verify-design": (cmd_verify_design, "verify a design file; JSON verdict on stdout",
+                      (("design", str),), (), ()),
+    "bounds": (cmd_bounds, "evaluate a named bound exactly", (("formula", tuple(BOUNDS)),),
+               (T, L, K, LAM, M, Q,
+                ("--profile", str, None, "a_t,a_t1,a_higher counts for the pigeonhole check")), ()),
+    "analyze": (cmd_analyze, "tabulate t-set quantities and audit the inequalities", (),
+                (("--matrix", str, REQUIRED, "matrix file"), ("--t", int, REQUIRED, "parameter t"),
+                 ("--l", int, REQUIRED, "parameter l"), ("--lambda", int, REQUIRED, "parameter lambda"),
+                 ("--rows", str, None, "comma-separated row set R"),
+                 ("--witness", bool, False, "include violating objects")), ()),
+    "search": (cmd_search, "exact extremal value by branch and bound", (),
+               (("--m", int, REQUIRED, "row count m"), *PATTERN,
+                ("--sums", str, None, "e.g. 3..6 or 0,1,2"),
+                ("--policy", ("simple", "free", "paper"), "simple", "column repeat policy"),
+                ("--budget-nodes", int, None, "stop after this many nodes, without a proof"),
+                ("--witness-out", str, None, "write the witness matrix to a file")), ONE_PATTERN),
+    "audit": (cmd_audit, "audit the equality constructions plus a corruption canary", (),
+              (("--m", str, "7,9,13", "comma-separated row counts"), ("--t", int, 2, "parameter t"),
+               ("--l", int, 1, "parameter l"), ("--lambda", int, 1, "parameter lambda")), ()),
+}
 
-    p = sub.add_parser("contains", help="decide configuration containment")
-    _add_pattern(p)
-    p.add_argument("--matrix", type=str, required=True)
-    p.add_argument("--quiet", action="store_true", help="no output; exit 1 when not contained")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_contains)
 
-    p = sub.add_parser("verify-design", help="verify a design file; JSON verdict on stdout")
-    p.add_argument("design")
-    p.set_defaults(func=cmd_verify_design)
+def _dest(flag: str) -> str:
+    return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
 
-    p = sub.add_parser("bounds", help="evaluate a named bound exactly")
-    p.add_argument("formula", choices=list(BOUNDS))
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--profile", type=str, default=None,
-                   help="a_t,a_t1,a_higher counts for the pigeonhole check")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("analyze", help="tabulate t-set quantities and audit the inequalities")
-    p.add_argument("--matrix", type=str, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--rows", type=str, default=None, help="comma-separated row set R")
-    p.add_argument("--witness", action="store_true", help="include violating objects")
-    p.set_defaults(func=cmd_analyze)
+def _spelled(arg: tuple) -> str:
+    """A flag or positional as the usage line shows it."""
+    name, kind = arg[:2]
+    choices = f"{{{','.join(kind)}}}" if isinstance(kind, tuple) else None
+    if name[0] != "-":
+        return choices or name
+    return name if kind is bool else f"{name} {choices or _dest(name).upper()}"
 
-    p = sub.add_parser("search", help="exact extremal value by branch and bound")
-    p.add_argument("--m", type=int, required=True)
-    _add_pattern(p)
-    p.add_argument("--sums", type=str, default=None, help="e.g. 3..6 or 0,1,2")
-    p.add_argument("--policy", choices=["simple", "free", "paper"], default="simple")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--witness-out", type=str, default=None)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("audit", help="audit the equality constructions plus a corruption canary")
-    p.add_argument("--m", type=str, default="7,9,13", help="comma-separated row counts")
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", type=int, default=1)
-    p.set_defaults(func=cmd_audit)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: xfc [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positionals, flags, one_of = COMMANDS[command]
+    words = ["usage: xfc", command, "[-h]", *map(_spelled, positionals)]
+    for flag in flags:
+        if flag[0] not in one_of:
+            words.append(_spelled(flag) if flag[2] is REQUIRED else f"[{_spelled(flag)}]")
+        elif flag[0] == one_of[0]:
+            words.append(f"({' | '.join(_spelled(f) for f in flags if f[0] in one_of)})")
+    return " ".join(words)
 
-    return parser
+
+def _help(command: str | None):
+    """Print the usage and what each command or flag is for; exit 0."""
+    if command is None:
+        lines = [_usage(None), "", (__doc__ or "").strip(), "", "commands:"]
+        lines += [f"  {name:<16}{entry[1]}" for name, entry in COMMANDS.items()]
+    else:
+        _, about, _, flags, _ = COMMANDS[command]
+        lines = [_usage(command), "", about, ""]
+        for flag in flags:
+            name, kind, default, text = flag
+            alias = "".join(f"{short}, " for short, long in ALIASES.items() if long == name)
+            if kind is not bool and default not in (None, REQUIRED):
+                text += f" (default {default})"
+            lines.append(f"  {alias + _spelled(flag):<32}{text}")
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str):
+    print(_usage(command), f"error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
+def _value(command: str | None, arg: tuple, word: str):
+    """word read as the int, str or choice that arg takes."""
+    name, kind = arg[:2]
+    if kind is int:
+        try:
+            return int(word)
+        except ValueError:
+            _fail(command, f"{name}: invalid int value {word!r}")
+    if kind is not str and word not in kind:
+        _fail(command, f"{name}: invalid choice {word!r} (choose from {', '.join(kind)})")
+    return word
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv's subcommand, positionals and flags, in one pass.  A flag that
+    takes a value takes the text after "=" or else the next word, even one
+    that starts with "-"; the last of repeated flags wins.  -h prints help
+    and exits 0; anything that does not fit the table prints the usage and
+    an error and exits 2."""
+    if not argv:
+        _fail(None, "missing command")
+    if argv[0] in ("-h", "--help"):
+        _help(None)
+    command = _value(None, ("command", tuple(COMMANDS)), argv[0])
+    func, _, positionals, flags, one_of = COMMANDS[command]
+    spec = {flag[0]: flag for flag in flags}
+    values = {_dest(name): None if default is REQUIRED else default for name, _, default, _ in flags}
+    given, words, rest = set(), [], iter(argv[1:])
+    for word in rest:
+        if word in ("-h", "--help"):
+            _help(command)
+        if word[:1] != "-":
+            words.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        flag = spec.get(ALIASES.get(name, name)) or _fail(command, f"unknown flag {word!r}")
+        if flag[1] is bool:
+            if eq:
+                _fail(command, f"{name} takes no value, got {word!r}")
+            value = True
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    _fail(command, f"flag {name!r} needs a value")
+            value = _value(command, flag, value)
+        values[_dest(flag[0])] = value
+        given.add(flag[0])
+    if len(words) > len(positionals):
+        _fail(command, f"unrecognized argument {words[len(positionals)]!r}")
+    values.update((arg[0], _value(command, arg, word)) for arg, word in zip(positionals, words))
+    missing = [arg[0] for arg in positionals[len(words):]]
+    missing += [name for name, _, default, _ in flags if default is REQUIRED and name not in given]
+    if missing:
+        _fail(command, f"missing required argument(s): {', '.join(missing)}")
+    if one_of and len(given.intersection(one_of)) != 1:
+        _fail(command, f"exactly one of {', '.join(one_of)} is required")
+    return SimpleNamespace(func=func, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (CliError, ValueError, TypeError) as e:  # ConstructionError is a ValueError

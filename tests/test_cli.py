@@ -17,7 +17,7 @@ import xfc
 import xfc.analysis
 import xfc.search
 from xfc.bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
-from xfc.cli import BOUNDS, main
+from xfc.cli import BOUNDS, COMMANDS, main, parse_args
 from xfc.designs import DesignCheck, lambda_fold, sts, write_design
 from xfc.matrix import MAX_ROW_MASK_BITS, BinMatrix, read_matrix
 
@@ -773,8 +773,10 @@ def test_each_subcommand_imports_only_its_modules(command, tmp_path):
     argv = [a.format(A=matrix, D=design) for a in args]
     loaded = _loaded_modules(f"from xfc.cli import main\nif main({argv!r}) > 1: sys.exit(1)")
     assert _xfc_modules(loaded) == {"xfc", "xfc.cli"} | {f"xfc.{m}" for m in modules}
-    # dataclasses costs about 4 ms of start-up; only the search still uses it
+    # dataclasses costs 6-11 ms of start-up; only the search still uses it
     assert ("dataclasses" in loaded) == (command == "search")
+    # the flag table needs neither argparse nor the gettext it loads
+    assert not {"argparse", "gettext"} & loaded
 
 
 def test_search_module_does_not_load_the_constructions():
@@ -802,3 +804,75 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+SEARCH = ["search", "--m", "5", "--config", "2,1,1"]
+
+
+def test_flag_equals_value_reads_as_two_words(capsys):
+    joined = ["--t=2", "--l=1", "--lambda=1", "--m=7"]
+    assert run(capsys, "bounds", "genl", *joined) == run(capsys, "bounds", "genl", *GENL)
+    assert parse_args(["search", "--m=5", "--config=2,1,1", "--policy=free", "--sums=1..3"]) == \
+        parse_args([*SEARCH, "--policy", "free", "--sums", "1..3"])
+
+
+def test_int_values_may_be_negative():
+    assert parse_args([*SEARCH, "--budget-nodes", "-1"]).budget_nodes == -1
+    assert parse_args(["bounds", "genl", "--lambda", "-3"]).lam == -3
+
+
+def test_repeated_flag_last_wins(capsys):
+    args = parse_args([*SEARCH, "--m", "9", "--policy", "paper", "--policy=free"])
+    assert (args.m, args.policy) == (9, "free")
+    assert run(capsys, "bounds", "genl", "--m", "9", *GENL) == run(capsys, "bounds", "genl", *GENL)
+
+
+def test_short_out_is_long_out():
+    kms = ["construct", "kms", "--m", "5", "--s", "2"]
+    assert parse_args([*kms, "-o", "a.mat"]) == parse_args([*kms, "--out", "a.mat"]) == \
+        parse_args([*kms, "-o=a.mat"])
+    assert parse_args([*kms, "-o", "a.mat"]).out == "a.mat"
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["-h"], list(COMMANDS)),
+    (["--help"], list(COMMANDS)),
+    (["search", "-h"], ["--m", "--config", "--config-file", "--sums", "--policy", "--budget-nodes",
+                        "--witness-out"]),
+    (["construct", "kms", "--help"], ["-o, --out", "--meta", "--design", "split-1100"]),
+])
+def test_help_lists_the_table_and_exits_0(capsys, argv, listed):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: xfc ")
+    assert [name for name in listed if name not in out] == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([*SEARCH, "--workers", "2"], "unknown flag '--workers'"),
+    ([*SEARCH, "--work=2"], "unknown flag '--work=2'"),
+    ([*SEARCH, "--polic", "free"], "unknown flag '--polic'"),  # no abbreviations
+    (["search", "--config", "2,1,1", "--m"], "flag '--m' needs a value"),
+    ([*SEARCH, "--policy", "greedy"], "--policy: invalid choice 'greedy'"),
+    (["construct", "kmz", "--m", "5"], "kind: invalid choice 'kmz'"),
+    (["bounds", "genl2", "--m", "5"], "formula: invalid choice 'genl2'"),
+    (["search", "--m", "five", "--config", "2,1,1"], "--m: invalid int value 'five'"),
+    (["search", "--m=", "--config", "2,1,1"], "--m: invalid int value ''"),
+    (["analyze", "--t", "2", "--l", "1", "--lambda", "1"], "missing required argument(s): --matrix"),
+    (["verify-design"], "missing required argument(s): design"),
+    (["verify-design", "a.des", "b.des"], "unrecognized argument 'b.des'"),
+    (["construct", "kms", "--m", "5", "--s", "2", "5"], "unrecognized argument '5'"),
+    (["construct", "kms", "--meta=yes"], "--meta takes no value, got '--meta=yes'"),
+    (["frobnicate"], "command: invalid choice 'frobnicate'"),
+    ([], "missing command"),
+])
+def test_parse_errors_print_usage_and_name_the_token(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: xfc ")
+    assert error.startswith(f"error: {named}")
