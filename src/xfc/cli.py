@@ -304,9 +304,9 @@ def cmd_audit(args) -> int:
         report = lemma_audit(restricted, t, ell, lam)
         lines.append({"m": m, "kind": "equality-construction", "all_passed": report.all_passed})
         ok = ok and report.all_passed
-        # corruption canary: lam+2 copies of one sum-(t+1) column must trip a check
-        extra = next(c for c in restricted.cols if c.bit_count() == t + 1)
-        corrupted = restricted.concat(BinMatrix(m, (extra,) * (lam + 2)))
+        # corruption canary: lam+2 copies of the sum-(t+1) column on rows 1..t+1,
+        # the first block of sts(m), must trip a check
+        corrupted = restricted.concat(BinMatrix(m, ((1 << t + 1) - 1,) * (lam + 2)))
         failed = [c.name for c in lemma_audit(corrupted, t, ell, lam).checks if not c.passed]
         lines.append({"m": m, "kind": "corrupted", "failed_checks": failed})
         ok = ok and bool(failed)

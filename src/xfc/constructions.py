@@ -35,16 +35,19 @@ def _certified(A: BinMatrix, want, forbidden: Block, what: str) -> BinMatrix:
 def genl_equality_construction(t: int, ell: int, lam: int, m: int,
                                design: Design | None = None) -> BinMatrix:
     """All columns of sums 0..t and m-ell+1..m once each, plus the
-    incidence of a t-(m, t+1, lam) design, by default (t = 2 only) the
-    lam-fold of sts(m).  Hits the genl bound exactly and avoids lam+2
-    copies of the t-ones/ell-zeros column."""
+    incidence of a t-(m, t+1, lam) design, by default the lam-fold of
+    sts(m) (t = 2 only), or at lam = 0 the empty design (any t).  Hits
+    the genl bound exactly and avoids lam+2 copies of the t-ones/ell-zeros
+    column."""
     if not t > ell >= 0:
         raise ValueError("need t > ell >= 0")
-    if design is None:
+    if design is None and lam:
         if t != 2:
-            raise ValueError("built-in designs cover t=2 only")
+            raise ValueError("built-in designs cover t=2 only, or any t at lambda 0")
         design = lambda_fold(sts(m), lam)  # sts verified its triples; a fold of a design is a design
     else:
+        if design is None:  # a t-design with lambda 0 has no block; verified as a given one is
+            design = Design(m, t + 1, t, 0, ())
         params = (m, t + 1, t, lam)  # a Design's fields m, k, t, lam
         if design[:4] != params:
             raise ConstructionError(f"design parameters {design[:4]} do not match required {params}")

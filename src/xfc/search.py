@@ -82,7 +82,8 @@ t-sets.  A child that passes the knapsack is tested again by the
 knapsack with each class capped so, from the child's own room, taking the
 least u and the least C(s, t) over the sums of the class.  The frame
 keeps that double sum per class too, so a child's caps change only over
-the t-sets of its own column.  This is the floor per point of
+the t-sets of its own column, and a child pushed keeps the sums its test
+computed.  This is the floor per point of
 Schonheim's packing bound (1966): at paper m = 7 a pair whose own
 column is chosen keeps a room of 10 - 5 = 5, enough for one triple
 (u = 4) through it, where with 20 of the 21 pair columns chosen the
@@ -314,24 +315,6 @@ class _Kernel:
             total += c
         return total
 
-    def capped(self, counts: list[int], budget: int, room: list[int], fits: list[int],
-               drop: int, ranks: list[int]) -> int:
-        """The child's knapsack with each class capped at the columns its
-        t-sets can still take.  The child's column takes drop of the room
-        of each t-set in ranks; room and fits are the parent's, fits[k]
-        being sum_T floor(room[T] / class_drop[k]), and class k is capped
-        at the child's fits[k] over class_tsets[k]."""
-        total = 0
-        for w, c, d, per, f in zip(self.class_weights, counts, self.class_drop, self.class_tsets, fits):
-            if c:
-                f -= sum(room[r] // d - (room[r] - drop) // d for r in ranks)
-                c = min(c, f // per)
-                if c * w > budget:
-                    return total + budget // w
-                budget -= c * w
-                total += c
-        return total
-
     def guard_stack(self, frame: int) -> None:
         """Refuse a root_bound-deep DFS stack of frame-byte frames."""
         if self.root_bound * frame > MAX_STACK_BYTES:
@@ -417,7 +400,7 @@ class _Kernel:
         wclass, units, repeatable, knapsack = self.wclass, self.units, self.repeatable, self.knapsack
         # every mask is drawn: a greedy short of root_bound ran to the end
         masks, tsets = self.masks, self.tsets
-        drops, capped = self.class_drop, self.capped
+        drops, pers = self.class_drop, self.class_tsets
         best_n, best_sol = incumbent, None
         nodes, exhausted = 1, False
         # swaps[i]: (bit r, r, index of the swapped column) per swap of rows
@@ -465,8 +448,13 @@ class _Kernel:
                     # only splits in live can still be hit, each cap - count times
                     cbudget = sum((live & ~lk).bit_count() for lk in lv[1:])
                     if depth + 1 + knapsack(ccounts, cbudget) > best_n:
+                        # the child's fits, its column taking drop from each t-set in ranks;
+                        # class k is capped at its fits over class_tsets[k]
                         drop, ranks = tsets[i]
-                        if depth + 1 + capped(ccounts, cbudget, room, fits, drop, ranks) > best_n:
+                        cfits = [f - sum(room[r] // d - (room[r] - drop) // d for r in ranks)
+                                 for f, d in zip(fits, drops)]
+                        ccap = [min(c, f // per) for c, f, per in zip(ccounts, cfits, pers)]
+                        if depth + 1 + knapsack(ccap, cbudget) > best_n:
                             break
                 counts[wclass[i]] -= units[i]
                 pos += 1
@@ -483,8 +471,7 @@ class _Kernel:
             # pushed past i, so the cands[pos - 1] on the stack are the columns chosen
             counts[wclass[i]] -= units[i]
             stack.append((cands, pos + 1, counts, levels, budget, room, fits))
-            fits = [f - sum(room[r] // d - (room[r] - drop) // d for r in ranks) for f, d in zip(fits, drops)]
-            room = room.copy()
+            fits, room = cfits, room.copy()
             for r in ranks:
                 room[r] -= drop
             cands, pos, counts, levels, budget = child, 0, ccounts, lv, cbudget

@@ -135,8 +135,7 @@ def test_criterion_5_split_1100():
 
 
 def test_criterion_6_audit_suite():
-    required = ("degree_cap", "support_pigeonhole", "tset_partition", "incidence_sum",
-                "zero_count_floor")
+    required = ("degree_cap", "support_pigeonhole", "low_sum_unrepeated", "zero_count_floor")
     start = time.perf_counter()
     for m in (7, 9, 13):
         A = genl_equality_construction(2, 1, 1, m, sts(m))

@@ -111,7 +111,24 @@ def test_audit_detects_repeated_low_sum_columns():
     A = BinMatrix.from_columns(5, [(1, 2), (1, 2), (3, 4)])
     report = lemma_audit(A, 2, 1, 1)
     assert not report.check("low_sum_unrepeated").passed
-    assert not report.check("tset_partition").passed  # a_t counts the repeat
+
+
+def test_every_audit_check_can_fail_alone():
+    # over small random matrices, every check fails somewhere and no two
+    # checks give the same verdict on every matrix: a check that cannot
+    # fail, or that repeats another, would be caught here
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(4000):
+        m, t = rng.randint(3, 6), rng.randint(1, 2)
+        ell, lam = rng.randint(0, min(2, m - t)), rng.randint(0, 2)
+        report = lemma_audit(random_matrix(rng, m), t, ell, lam, rows_r=[1])
+        verdicts.append({c.name: c.passed for c in report.checks})
+    names = list(verdicts[0])
+    for name in names:
+        assert any(not v[name] for v in verdicts), name
+    for a, b in combinations(names, 2):
+        assert any(v[a] != v[b] for v in verdicts), (a, b)
 
 
 def test_audit_empty_matrix_vacuous():

@@ -120,10 +120,24 @@ def test_genl_equality_built_in_design_matches_the_design_file(capsys, tmp_path)
 
 
 def test_built_in_designs_cover_t2_only(capsys):
-    refusal = (2, "", "error: built-in designs cover t=2 only\n")
+    refusal = (2, "", "error: built-in designs cover t=2 only, or any t at lambda 0\n")
     assert run(capsys, "construct", "genl-equality", "--t", "3", "--l", "1", "--lambda", "1",
                "--m", "7") == refusal
     assert run(capsys, "audit", "--t", "3") == refusal
+
+
+def test_lambda_0_uses_the_empty_design(capsys):
+    # a t-design with lambda 0 has no block: the low and high layers alone
+    for argv, ncols in ((["--t", "2", "--l", "1", "--m", "8"], 38),
+                        (["--t", "3", "--l", "0", "--m", "6"], 42)):
+        code, out, _ = run(capsys, "construct", "genl-equality", "--lambda", "0", *argv)
+        assert code == 0 and read_matrix(out).ncols == ncols
+    code, out, _ = run(capsys, "audit", "--m", "7", "--lambda", "0")
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] and payload["results"][0]["all_passed"]
+    assert "degree_cap" in payload["results"][1]["failed_checks"]
+    code, out, err = run(capsys, "audit", "--m", "2", "--lambda", "0")
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 OVERSIZED = {
@@ -451,7 +465,7 @@ def test_analyze_reports_json(capsys, tmp_path):
 
 
 # stdout of `analyze --witness --rows 1` on a 2-row matrix (columns 10, 10, 01,
-# 11, 11) that fails every check but the incidence identity, at t=1, l=1, lambda=0
+# 11, 11) that fails every check, at t=1, l=1, lambda=0
 FAILED_ANALYSIS = (
     '{"m": 2, "t": 1, "l": 1, "lambda": 0, "profile": {"a_t": 3, "a_t1": 2, "a_higher": 0}, '
     '"missing_tsets": 0, "typical_tsets": 0, "all_passed": false, "checks": ['
@@ -463,9 +477,6 @@ FAILED_ANALYSIS = (
     '"witness": {"tset": [1], "d": 2, "mu": 1}}, '
     '{"name": "support_pigeonhole", "passed": false, "detail": "weighted profile 3 <= capacity 2", '
     '"witness": {"lhs": 3, "rhs": 2}}, '
-    '{"name": "tset_partition", "passed": false, "detail": "a_t = C(m,t) - #missing", '
-    '"witness": {"a_t": 3, "missing": 0, "total": 2}}, '
-    '{"name": "incidence_sum", "passed": true, "detail": "sum d(S) = (t+1) a_{t+1}"}, '
     '{"name": "per_row_cap", "passed": false, "detail": "per-row sum-(t+1) count <= 1", '
     '"witness": {"row": 1, "count": 2, "cap": "1"}}, '
     '{"name": "zero_count_floor", "passed": false, "detail": "every column has >= 1 zeros", '
