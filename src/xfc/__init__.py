@@ -14,7 +14,7 @@ from importlib import import_module
 # public name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("AnalysisReport", "TsetTable", "lemma_audit", "tset_table", "w_z_sets"), "analysis"),
+        ("AnalysisReport", "TsetTable", "lemma_audit", "tset_table"), "analysis"),
     **dict.fromkeys((
         "BoundValue", "PigeonholeCheck", "bound_1100", "design_1100_bound", "design_tplus1_bound",
         "designconfig_bound", "exceeder_gap", "genl_bound", "pigeonhole_terms", "q10_lower",

@@ -11,60 +11,48 @@ verdict with a witness instead.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .bounds import pigeonhole_terms
-from .matrix import BinMatrix, count_layers, mask_of, rows_of
+from .matrix import MAX_CELLS, BinMatrix, count_layers, mask_of, rows_of
 
-# t-set tables are refused above 2**16 t-sets, counted before enumerating:
-# C(362, 2) = 65,341 fits and takes about 9 MB and 0.2 s to tabulate, where
-# C(2000, 2) took 326 MB; the audit sweep's largest is C(37, 2) = 666.
+# A t-set table holds at most min(C(m, t), a_t + (t+1) a_{t+1}) masks, and
+# it is refused before it is built when that many masks pass 2**16 or their
+# m bits each pass MAX_CELLS.  The 51,444 pairs of 21,845 random triples on
+# 512 rows peak at 7.2 MiB; the audit sweep's largest table holds 666 masks.
 MAX_TSETS = 1 << 16
 
 
-def tsets_colex(m: int, t: int):
-    """All t-subsets of [m] in colexicographic order."""
-    return sorted(combinations(range(1, m + 1), t), key=lambda s: tuple(reversed(s)))
-
-
 class TsetTable(namedtuple("TsetTable", "m t lam mu d")):
-    """mu and d map each t-set of [m], in colexicographic order, to its
-    counts (see tset_table)."""
+    """The t-sets a matrix's columns hold, as row masks like its columns:
+    mu is the frozenset of the sum-t columns, and the Counter d maps each
+    t-set inside a sum-(t+1) column to how many such columns contain it,
+    multiplicity counted.  A t-set absent from d has d = 0.  Among masks
+    of one size, integer order is colexicographic order."""
 
     __slots__ = ()
 
-    def is_typical(self, s) -> bool:
-        s = tuple(sorted(s))
-        return self.mu[s] == 1 and self.d[s] == self.lam
-
-    def missing_tsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s for s, n in self.mu.items() if n == 0)
-
-    def typical_tsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s for s in self.mu if self.is_typical(s))
+    def typical_tsets(self) -> frozenset[int]:
+        """The t-sets S with mu(S) = 1 and d(S) = lam."""
+        return frozenset(s for s in self.mu if self.d[s] == self.lam)
 
 
 def tset_table(A: BinMatrix, t: int, lam: int) -> TsetTable:
-    """Tabulate, for every t-set S: whether S appears as a sum-t column
-    (mu) and how many sum-(t+1) columns contain S, multiplicity counted
-    (d)."""
+    """Tabulate mu and d (see TsetTable): the t-subsets of a sum-(t+1)
+    column c are c less one of its rows."""
     if not 0 <= t <= A.m:
         raise ValueError(f"t={t} outside 0..{A.m}")
-    if count_layers(A.m, (t,), MAX_TSETS) > MAX_TSETS:
-        raise ValueError(f"the C({A.m}, {t}) t-sets exceed the analysis limit of {MAX_TSETS}")
-    mu = dict.fromkeys(tsets_colex(A.m, t), 0)
-    d = dict.fromkeys(mu, 0)
-    for c in A.cols:
-        k = c.bit_count()
-        if k == t:
-            mu[rows_of(c)] = 1
-        elif k == t + 1:
-            for s in combinations(rows_of(c), t):
-                d[s] += 1
-    return TsetTable(A.m, t, lam, mu, d)
+    low = [c for c in A.cols if c.bit_count() == t]
+    high = [c for c in A.cols if c.bit_count() == t + 1]
+    most = len(low) + (t + 1) * len(high)
+    masks = min(count_layers(A.m, (t,), most), most)
+    if masks > MAX_TSETS or masks * A.m > MAX_CELLS:
+        raise ValueError(f"a table of up to {masks} t-sets on {A.m} rows exceeds the analysis "
+                         f"limit of {MAX_TSETS} t-sets and {MAX_CELLS} cells")
+    d = Counter(c ^ 1 << r - 1 for c in high for r in rows_of(c))
+    return TsetTable(A.m, t, lam, frozenset(low), d)
 
 
 class AuditCheck(namedtuple("AuditCheck", "name witness detail")):
@@ -96,44 +84,17 @@ class AnalysisReport(namedtuple("AnalysisReport", "m t ell lam profile n_missing
         raise KeyError(name)
 
 
-def _per_row_counts(A: BinMatrix, t: int) -> dict[int, int]:
-    """a^r: sum-(t+1) columns having a 1 in row r, for every row."""
-    out = {r: 0 for r in range(1, A.m + 1)}
-    for c in A.cols:
-        if c.bit_count() == t + 1:
-            for r in rows_of(c):
-                out[r] += 1
-    return out
-
-
-def w_z_sets(A: BinMatrix, table: TsetTable, rows_r) -> tuple[tuple, tuple]:
-    """Split the typical t-sets by the sum-(t+1) columns meeting a row set,
-    on the t-set table of A.
-
-    First element: t-sets S with some x such that S + x is a sum-(t+1)
-    column carrying a 1 somewhere in rows_r.  Second: typical t-sets not
-    of that kind.  Both in colexicographic order.
-    """
-    return _row_set(A, table, rows_r)[2:]
-
-
-def _row_set(A: BinMatrix, table: TsetTable, rows_r):
-    """(R sorted, a^R, W, Z) in one pass over the sum-(t+1) columns
-    meeting R, the rows checked before they become a mask; W and Z as in
-    w_z_sets."""
+def _row_set(A: BinMatrix, t: int, typical: frozenset[int], rows_r):
+    """(R sorted, a^R, |W|, |Z|), the rows checked before they become a
+    mask.  W: the t-sets inside a sum-(t+1) column that meets R.  Z: the
+    typical t-sets outside W."""
     rows_r = sorted(set(rows_r))
     if any(r < 1 or r > A.m for r in rows_r):
         raise ValueError(f"rows outside 1..{A.m}: {rows_r}")
-    rmask, t = mask_of(rows_r), table.t
-    touched: set[tuple[int, ...]] = set()
-    a_r = 0
-    for c in A.cols:
-        if c.bit_count() == t + 1 and c & rmask:
-            a_r += 1
-            touched.update(combinations(rows_of(c), t))
-    w = tuple(s for s in table.mu if s in touched)
-    z = tuple(s for s in table.mu if table.is_typical(s) and s not in touched)
-    return rows_r, a_r, w, z
+    rmask = mask_of(rows_r)
+    meeting = [c for c in A.cols if c.bit_count() == t + 1 and c & rmask]
+    w = {c ^ 1 << r - 1 for c in meeting for r in rows_of(c)}
+    return rows_r, len(meeting), len(w), len(typical - w)
 
 
 def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> AnalysisReport:
@@ -157,17 +118,24 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
     """
     if not 1 <= t <= A.m:
         raise ValueError(f"t={t} outside 1..{A.m}")
-    if ell < 0:
-        raise ValueError(f"ell={ell} must be nonnegative")
-    if lam < 0:
-        raise ValueError(f"lam={lam} must be nonnegative")
-    prof = A.column_profile(t)
+    # one tally: the column sums, and a^r for every row r
+    sums, per_row = Counter(), dict.fromkeys(range(1, A.m + 1), 0)
+    for c in A.cols:
+        k = c.bit_count()
+        sums[k] += 1
+        if k == t + 1:
+            for r in rows_of(c):
+                per_row[r] += 1
+    profile = (sums[t], sums[t + 1], sum(n for s, n in sums.items() if s > t + 1))
+    ph = pigeonhole_terms(t, ell, lam, A.m, profile)  # refuses ell < 0 and lam < 0
     table = tset_table(A, t, lam)
-    per_row = _per_row_counts(A, t)
     row_cap = Fraction(lam + 1, t) * comb(A.m - 1, t - 1)
     need_zeros = lam + ell
-    n_missing = len(table.missing_tsets())
-    ph = pigeonhole_terms(t, ell, lam, A.m, (prof.a_t, prof.a_t1, prof.a_higher))
+    n_tsets = comb(A.m, t)
+    n_missing = n_tsets - len(table.mu)
+    typical = table.typical_tsets()
+    # the first t-set in colexicographic order over its cap, if any
+    over = min((s for s, n in table.d.items() if n + (s in table.mu) > lam + 1), default=None)
     first: dict[int, int] = {}  # sum-t column -> index of its first copy
     # each check is built from its first violation, or None when it holds
     checks = [
@@ -186,8 +154,8 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
         ),
         AuditCheck(
             "degree_cap",
-            next(({"tset": s, "d": d, "mu": table.mu[s]} for s, d in table.d.items()
-                  if d + table.mu[s] > lam + 1), None),
+            None if over is None
+            else {"tset": rows_of(over), "d": table.d[over], "mu": int(over in table.mu)},
             f"d(S) + mu(S) <= {lam + 1}",
         ),
         AuditCheck(
@@ -211,7 +179,7 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
 
     row_set = None
     if rows_r is not None:
-        rows_r, a_r, w, z = _row_set(A, table, rows_r)
+        rows_r, a_r, w_size, z_size = _row_set(A, t, typical, rows_r)
         cap = len(rows_r) * row_cap
         note = ""
         if len(rows_r) >= lam + ell:
@@ -219,8 +187,8 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
         row_set = {
             "rows": tuple(rows_r),
             "count": a_r,
-            "w_size": len(w),
-            "z_size": len(z),
+            "w_size": w_size,
+            "z_size": z_size,
             "note": note,
         }
         checks.append(
@@ -231,21 +199,20 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
             )
         )
 
-    n_typical = len(table.typical_tsets())
-    scale = float(A.m ** (t - 1))
+    scale = A.m ** (t - 1)  # int / int is correctly rounded and far inside float range
     ratios = {
         "missing_over_m_pow": n_missing / scale,
-        "higher_over_m_pow": prof.a_higher / scale,
-        "typical_deficit_over_m_pow": (comb(A.m, t) - n_typical) / scale,
+        "higher_over_m_pow": profile[2] / scale,
+        "typical_deficit_over_m_pow": (n_tsets - len(typical)) / scale,
     }
     return AnalysisReport(
         m=A.m,
         t=t,
         ell=ell,
         lam=lam,
-        profile=(prof.a_t, prof.a_t1, prof.a_higher),
+        profile=profile,
         n_missing=n_missing,
-        n_typical=n_typical,
+        n_typical=len(typical),
         checks=tuple(checks),
         per_row_counts=per_row,
         row_set=row_set,

@@ -99,12 +99,6 @@ def _write_file(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {e}") from None
 
 
-def _require(args, **fields) -> None:
-    missing = [flag for flag, value in fields.items() if value is None]
-    if missing:
-        raise CliError(f"missing required flag(s): {', '.join('--' + f for f in missing)}")
-
-
 def cmd_construct(args) -> int:
     from .constructions import (exceeder_construction, genl_equality_construction,
                                 q10_construction, small_m_pigeonhole_witness,
@@ -115,30 +109,23 @@ def cmd_construct(args) -> int:
     kind = args.kind
     avoided = None
     if kind == "kms":
-        _require(args, m=args.m, s=args.s)
         A = layer_range(args.m, (args.s,))
     elif kind == "layers":
-        _require(args, m=args.m, sums=args.sums)
         A = layer_range(args.m, _parse_sums(args.sums, args.m))
     elif kind == "genl-equality":
-        _require(args, t=args.t, l=args.l, **{"lambda": args.lam}, m=args.m)
         d = _read_file(args.design, read_design) if args.design else None
         A = genl_equality_construction(args.t, args.l, args.lam, args.m, d)
         avoided = f"{args.lam + 2},{args.t},{args.l}"
     elif kind == "exceeder":
-        _require(args, t=args.t, l=args.l, **{"lambda": args.lam})
         A = exceeder_construction(args.t, args.l, args.lam)
         avoided = f"{args.lam + 2},{args.t},{args.l}"
     elif kind == "q10":
-        _require(args, q=args.q, m=args.m)
         A = q10_construction(args.q, args.m)
         avoided = f"{args.q},1,1"
     elif kind == "small-m-witness":
-        _require(args, q=args.q)
         A = small_m_pigeonhole_witness(args.q)
         avoided = f"{args.q},1,1"
     else:  # split-1100
-        _require(args, m=args.m, a=args.a, b=args.b)
         A = split_1100_construction(args.m, args.a, args.b)
         avoided = f"{args.a + args.b + 3},2,2"
     if args.out:  # written first, so a failed write prints nothing
@@ -221,17 +208,13 @@ def cmd_bounds(args) -> int:
     name = args.formula
     func_name, flags = BOUNDS[name]
     func = getattr(bounds, func_name)
-    values = {f: getattr(args, "lam" if f == "lambda" else f) for f in flags}
-    _require(args, **values)
+    values = [getattr(args, "lam" if f == "lambda" else f) for f in flags]
     if name == "pigeonhole":
-        if not args.profile:
-            raise CliError("pigeonhole needs --profile a_t,a_t1,a_higher")
-        profile = _ints("--profile", args.profile, "a_t,a_t1,a_higher")
-        check = func(*values.values(), profile)
+        check = func(*values, _ints("--profile", args.profile, "a_t,a_t1,a_higher"))
         print(json.dumps({"formula": name, "lhs": check.lhs, "rhs": check.rhs,
                           "holds": check.holds}))
         return 0
-    print(json.dumps(_bound_json(name, func(*values.values()))))
+    print(json.dumps(_bound_json(name, func(*values))))
     return 0
 
 
@@ -319,9 +302,11 @@ def cmd_audit(args) -> int:
 # Each subcommand's entry: its handler, its help, its positionals as (name,
 # kind), its flags as (name, kind, default, help), and the flags of which
 # exactly one must be given.  A kind is int, str, bool (a switch, True when
-# given) or a tuple of choices; a REQUIRED default makes the flag required,
-# and every positional is required.  A flag's attribute is its name without
-# the dashes and with "_" for "-", except that --lambda is read as lam.
+# given), a tuple of choices, or a dict of choices to the flags (without
+# dashes) that each choice requires; a REQUIRED default makes the flag
+# required, and every positional is required.  A flag's attribute is its
+# name without the dashes and with "_" for "-", except that --lambda is
+# read as lam.
 # Every process reads argv against these tuples in one pass, which starts
 # several ms sooner than importing and building an argparse parser.
 REQUIRED = object()
@@ -329,14 +314,19 @@ ALIASES = {"-o": "--out"}
 M, T, L, LAM = (("--m", int, None, "row count m"), ("--t", int, None, "parameter t"),
                 ("--l", int, None, "parameter l"), ("--lambda", int, None, "parameter lambda"))
 Q, K = ("--q", int, None, "parameter q"), ("--k", int, None, "parameter k")
+# construct kind, or bound formula, -> the flags it requires
+KINDS = {"kms": ("m", "s"), "layers": ("m", "sums"), "genl-equality": ("t", "l", "lambda", "m"),
+         "exceeder": ("t", "l", "lambda"), "q10": ("q", "m"), "small-m-witness": ("q",),
+         "split-1100": ("m", "a", "b")}
+FORMULAS = {name: flags for name, (_, flags) in BOUNDS.items()}
+FORMULAS["pigeonhole"] += ("profile",)
 PATTERN = (("--config", str, None, "block pattern as q,t,l"),
            ("--config-file", str, None, "general pattern matrix file"))
 ONE_PATTERN = ("--config", "--config-file")
 
 COMMANDS = {
     "construct": (cmd_construct, "emit a named construction in matrix text format",
-                  (("kind", ("kms", "layers", "genl-equality", "exceeder", "q10", "small-m-witness",
-                             "split-1100")),),
+                  (("kind", KINDS),),
                   (M, ("--s", int, None, "column sum for kms"), ("--sums", str, None, "sums for layers"),
                    T, L, LAM, Q, ("--a", int, None, "parameter a"), ("--b", int, None, "parameter b"),
                    ("--design", str, None, "design file for genl-equality"),
@@ -348,7 +338,7 @@ COMMANDS = {
                   ("--json", bool, False, "print a JSON record")), ONE_PATTERN),
     "verify-design": (cmd_verify_design, "verify a design file; JSON verdict on stdout",
                       (("design", str),), (), ()),
-    "bounds": (cmd_bounds, "evaluate a named bound exactly", (("formula", tuple(BOUNDS)),),
+    "bounds": (cmd_bounds, "evaluate a named bound exactly", (("formula", FORMULAS),),
                (T, L, K, LAM, M, Q,
                 ("--profile", str, None, "a_t,a_t1,a_higher counts for the pigeonhole check")), ()),
     "analyze": (cmd_analyze, "tabulate t-set quantities and audit the inequalities", (),
@@ -375,7 +365,7 @@ def _dest(flag: str) -> str:
 def _spelled(arg: tuple) -> str:
     """A flag or positional as the usage line shows it."""
     name, kind = arg[:2]
-    choices = f"{{{','.join(kind)}}}" if isinstance(kind, tuple) else None
+    choices = f"{{{','.join(kind)}}}" if isinstance(kind, (tuple, dict)) else None
     if name[0] != "-":
         return choices or name
     return name if kind is bool else f"{name} {choices or _dest(name).upper()}"
@@ -469,6 +459,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         _fail(command, f"unrecognized argument {words[len(positionals)]!r}")
     values.update((arg[0], _value(command, arg, word)) for arg, word in zip(positionals, words))
     missing = [arg[0] for arg in positionals[len(words):]]
+    missing += [f"--{flag}" for arg, word in zip(positionals, words) if isinstance(arg[1], dict)
+                for flag in arg[1][word] if f"--{flag}" not in given]
     missing += [name for name, _, default, _ in flags if default is REQUIRED and name not in given]
     if missing:
         _fail(command, f"missing required argument(s): {', '.join(missing)}")

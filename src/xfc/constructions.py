@@ -41,6 +41,8 @@ def genl_equality_construction(t: int, ell: int, lam: int, m: int,
     column."""
     if not t > ell >= 0:
         raise ValueError("need t > ell >= 0")
+    if m < t + 1:
+        raise ValueError(f"need m >= t + 1 = {t + 1}, got m={m}")
     if design is None and lam:
         if t != 2:
             raise ValueError("built-in designs cover t=2 only, or any t at lambda 0")

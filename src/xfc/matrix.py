@@ -107,23 +107,10 @@ class BinMatrix(namedtuple("BinMatrix", "m cols")):
         allowed = set(sums)
         return BinMatrix(self.m, tuple(c for c in self.cols if c.bit_count() in allowed))
 
-    def column_profile(self, t: int) -> "ColumnProfile":
-        """Counts a_t, a_{t+1}, a_{>=t+2} and the full sum histogram."""
-        hist = [0] * (self.m + 1)
-        for c in self.cols:
-            hist[c.bit_count()] += 1
-        a_t = hist[t] if 0 <= t <= self.m else 0
-        a_t1 = hist[t + 1] if 0 <= t + 1 <= self.m else 0
-        a_higher = sum(hist[s] for s in range(t + 2, self.m + 1))
-        return ColumnProfile(a_t, a_t1, a_higher, tuple(hist))
-
     def to_text(self) -> str:
         """Render in the matrix text format (see read_matrix)."""
         rows = [s[::-1] for s in _row_strings(self.m, self.cols)]
         return "\n".join([f"{self.m} {self.ncols}", *rows]) + "\n"
-
-
-ColumnProfile = namedtuple("ColumnProfile", "a_t a_t1 a_higher histogram")
 
 
 def _layer(m: int, s: int) -> tuple[int, ...]:

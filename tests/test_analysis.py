@@ -1,16 +1,17 @@
 """t-set tables, audit verdicts, row-set splits."""
 
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, islice
 from math import comb
 
 import pytest
 
 import xfc.analysis
-from xfc.analysis import lemma_audit, tset_table, tsets_colex, w_z_sets
+from xfc.analysis import lemma_audit, tset_table
 from xfc.constructions import genl_equality_construction
 from xfc.designs import sts
-from xfc.matrix import BinMatrix, layer_range, mask_of
+from xfc.matrix import MAX_CELLS, BinMatrix, layer_range, mask_of
 
 
 def design_plus_pairs(m):
@@ -22,48 +23,104 @@ def random_matrix(rng, m, max_cols=12):
     return BinMatrix(m, tuple(rng.randrange(1 << m) for _ in range(n)))
 
 
-def test_tsets_colex_order():
-    assert tsets_colex(4, 2) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+def dense_table(A, t):
+    """The reference: every t-subset of [m] as a tuple, in colexicographic
+    order, mapped to its mu and to its d."""
+    tsets = sorted(combinations(range(1, A.m + 1), t), key=lambda s: s[::-1])
+    mu, d = dict.fromkeys(tsets, 0), dict.fromkeys(tsets, 0)
+    for rows in A.column_sets():
+        if len(rows) == t:
+            mu[rows] = 1
+        elif len(rows) == t + 1:
+            for s in combinations(rows, t):
+                d[s] += 1
+    return mu, d
+
+
+def test_mask_table_matches_a_dense_reference():
+    rng = random.Random(17)
+    for _ in range(600):
+        m = rng.randint(1, 8)
+        t, lam = rng.randint(1, m), rng.randint(0, 3)
+        ell = rng.randint(0, m - t)
+        # mostly sum-t and sum-(t+1) columns, so that degrees pass lam + 1
+        sums = [rng.choice((t, t + 1, t + 1, rng.randint(0, m))) for _ in range(rng.randint(0, 14))]
+        A = BinMatrix.from_columns(m, [rng.sample(range(1, m + 1), min(s, m)) for s in sums])
+        rows = [r for r in range(1, m + 1) if rng.random() < 0.3]
+        mu, d = dense_table(A, t)
+        masks = [mask_of(s) for s in mu]
+        assert masks == sorted(masks)  # integer order of equal-size masks is colex order
+        tab = tset_table(A, t, lam)
+        assert tab.mu == {mask_of(s) for s, n in mu.items() if n}
+        assert dict(tab.d) == {mask_of(s): n for s, n in d.items() if n}
+        report = lemma_audit(A, t, ell, lam, rows_r=rows)
+        over = next(({"tset": s, "d": d[s], "mu": mu[s]} for s in mu if d[s] + mu[s] > lam + 1), None)
+        assert report.check("degree_cap").witness == over
+        typical = {s for s in mu if mu[s] == 1 and d[s] == lam}
+        assert (report.n_missing, report.n_typical) == (list(mu.values()).count(0), len(typical))
+        w = {s for c in A.column_sets() if len(c) == t + 1 and set(c) & set(rows)
+             for s in combinations(c, t)}
+        assert (report.row_set["w_size"], report.row_set["z_size"]) == (len(w), len(typical - w))
 
 
 def test_tset_table_size_limit():
-    # C(362, 2) = 65,341 t-sets fit under MAX_TSETS and C(363, 2) = 65,703
-    # do not; the count stops growing past the limit, so a huge C(m, t) is
-    # refused at once
-    assert comb(362, 2) <= xfc.analysis.MAX_TSETS < comb(363, 2)
-    assert len(tset_table(BinMatrix(362, ()), 2, 1).mu) == 65_341
-    for m, t in ((363, 2), (363, 361), (10**6, 5 * 10**5)):
+    # a table holds at most min(C(m, t), a_t + (t+1) a_{t+1}) masks of m
+    # bits, and is refused before anything is built when they pass
+    # MAX_TSETS masks or MAX_CELLS bits
+    cols = list(islice(combinations(range(1, 41), 21), 3200))
+    assert 21 * 3120 <= xfc.analysis.MAX_TSETS < 21 * 3200
+    assert sum(tset_table(BinMatrix.from_columns(40, cols[:3120]), 20, 1).d.values()) == 21 * 3120
+    A = BinMatrix.from_columns(40, cols)
+    tracemalloc.start()
+    try:
         with pytest.raises(ValueError, match="analysis limit"):
-            tset_table(BinMatrix(m, ()), t, 1)
+            tset_table(A, 20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+    # at t = 1, the m masks of m bits pass MAX_CELLS from 5,793 rows on
+    for m in (5792, 5793):
+        A = BinMatrix(m, tuple(1 << r for r in range(m)))
+        if m * m <= MAX_CELLS:
+            assert len(tset_table(A, 1, 1).mu) == m
+        else:
+            with pytest.raises(ValueError, match="analysis limit"):
+                tset_table(A, 1, 1)
+    # C(m, t) caps the count, and is counted only up to the columns' bound:
+    # 30,000 sum-3 columns on 5 rows hold at most C(5, 2) = 10 pairs, not
+    # 90,000, and no column holds none
+    A = BinMatrix.from_columns(5, [(1, 2, 3)] * 30_000)
+    assert tset_table(A, 2, 1).d == {mask_of(p): 30_000 for p in combinations((1, 2, 3), 2)}
+    assert tset_table(BinMatrix(10**6, ()), 5 * 10**5, 1).mu == frozenset()
 
 
 def test_table_on_design_union():
     A = design_plus_pairs(7)
     tab = tset_table(A, 2, 1)
-    assert tab.missing_tsets() == ()
+    assert len(tab.mu) == comb(7, 2)
     assert all(tab.d[s] == 1 for s in tab.d)
     assert len(tab.typical_tsets()) == 21
     # the pairs inside {2..5}, each covered once by a triple through row 1,
     # are typical; the pairs through row 1 are missing
     pairs = list(combinations(range(2, 6), 2))
     B = BinMatrix.from_columns(5, pairs + [(1,) + p for p in pairs])
-    assert set(tset_table(B, 2, 1).typical_tsets()) == set(pairs)
+    assert tset_table(B, 2, 1).typical_tsets() == {mask_of(p) for p in pairs}
 
 
 def test_degree_counts_multiplicity():
     # three sum-3 columns 123, 124, 124 give the pair {1,2} degree 3
     A = BinMatrix.from_columns(4, [(1, 2, 3), (1, 2, 4), (1, 2, 4)])
     tab = tset_table(A, 2, 1)
-    assert tab.d[(1, 2)] == 3
-    assert tab.d[(3, 4)] == 0
+    assert tab.d[mask_of((1, 2))] == 3
+    assert tab.d[mask_of((3, 4))] == 0
 
 
 def test_table_empty_profile():
     A = BinMatrix.from_columns(5, [(1,), (1, 2, 3, 4)])  # no sum-2, no sum-3
     tab = tset_table(A, 2, 1)
-    assert all(v == 0 for v in tab.mu.values())
-    assert all(v == 0 for v in tab.d.values())
-    assert tab.typical_tsets() == ()
+    assert tab.mu == frozenset() and not tab.d
+    assert tab.typical_tsets() == frozenset()
 
 
 def test_identities_hold_on_random_matrices():
@@ -73,10 +130,8 @@ def test_identities_hold_on_random_matrices():
         t = rng.randint(1, m - 1)
         A = random_matrix(rng, m)
         tab = tset_table(A, t, 1)
-        prof = A.column_profile(t)
-        assert sum(tab.d.values()) == (t + 1) * prof.a_t1
-        distinct_t = len({c for c in A.cols if c.bit_count() == t})
-        assert sum(tab.mu.values()) == distinct_t == comb(m, t) - len(tab.missing_tsets())
+        assert sum(tab.d.values()) == (t + 1) * A.column_sums().count(t + 1)
+        assert len(tab.mu) == len({c for c in A.cols if c.bit_count() == t})
 
 
 def test_audit_passes_on_restricted_equality_construction():
@@ -160,19 +215,18 @@ def test_audit_row_set_section():
 
 def test_w_z_sets_examples():
     A = design_plus_pairs(7)
-    table = tset_table(A, 2, 1)
-    w, z = w_z_sets(A, table, [1])
-    assert len(w) == 9 and len(z) == 12
-    w0, z0 = w_z_sets(A, table, [])
-    assert w0 == () and len(z0) == 21
-    wall, _ = w_z_sets(A, table, range(1, 8))
+
+    def sizes(rows):
+        row_set = lemma_audit(A, 2, 1, 1, rows_r=rows).row_set
+        return row_set["w_size"], row_set["z_size"]
+
+    assert sizes([1]) == (9, 12)
+    assert sizes([]) == (0, 21)
     covered = set()
-    for c in A.cols:
-        if c.bit_count() == 3:
-            covered.update(
-                combinations(tuple(r for r in range(1, 8) if c >> (r - 1) & 1), 2)
-            )
-    assert set(wall) == covered
+    for c in A.column_sets():
+        if len(c) == 3:
+            covered.update(combinations(c, 2))
+    assert sizes(range(1, 8)) == (len(covered), 0)
 
 
 def test_w_size_bounded_by_column_contributions():
@@ -182,7 +236,7 @@ def test_w_size_bounded_by_column_contributions():
         t = rng.randint(1, m - 2)
         A = random_matrix(rng, m)
         rows = [r for r in range(1, m + 1) if rng.random() < 0.4]
-        w, _ = w_z_sets(A, tset_table(A, t, 1), rows)
+        row_set = lemma_audit(A, t, 0, 1, rows_r=rows).row_set
         rmask = mask_of(rows)
         a_r = sum(1 for c in A.cols if c.bit_count() == t + 1 and c & rmask)
-        assert len(w) <= (t + 1) * a_r
+        assert row_set["count"] == a_r and row_set["w_size"] <= (t + 1) * a_r

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import combinations, islice
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -136,8 +138,11 @@ def test_lambda_0_uses_the_empty_design(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["ok"] and payload["results"][0]["all_passed"]
     assert "degree_cap" in payload["results"][1]["failed_checks"]
-    code, out, err = run(capsys, "audit", "--m", "2", "--lambda", "0")
-    assert (code, out) == (2, "") and err.startswith("error: ")
+    # fewer than t + 1 rows are refused in terms of m and t
+    for argv in (["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "0", "--m", "2"],
+                 ["audit", "--m", "2", "--lambda", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: need m >= t + 1 = 3, got m=2\n")
 
 
 OVERSIZED = {
@@ -255,20 +260,42 @@ def test_analyze_rejects_negative_lambda(capsys, tmp_path):
 
 
 def test_analyze_refuses_a_huge_tset_table(capsys, tmp_path):
-    # 2,000 empty rows: C(2000, 2) = 1,999,000 t-sets, refused before any
-    # is listed (tabulating them took 326 MB)
-    mat = tmp_path / "empty.mat"
-    mat.write_text("2000 0\n" + "\n" * 2000)
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", "2", "--l", "1",
-                             "--lambda", "1")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2 and out == ""
-    assert f"analysis limit of {xfc.analysis.MAX_TSETS}" in err
-    assert peak < 10 * 2**20
+    # the table holds only the t-sets of the columns, on empty rows none: a
+    # table of all C(2000, 2) pairs would take 326 MB, and one of the
+    # C(4000, 3999) t-sets as tuples of rows 259 MB
+    mat = tmp_path / "a.mat"
+    for m, t, ell in ((2000, 2, 1), (4000, 3999, 0)):
+        mat.write_text(f"{m} 0\n" + "\n" * m)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", str(t),
+                                 "--l", str(ell), "--lambda", "0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "") and json.loads(out)["missing_tsets"] == comb(m, t)
+        assert peak < 10 * 2**20
+    # 3,200 sum-21 columns on 40 rows could put 21 * 3,200 = 67,200 t-sets
+    # in the table, more than MAX_TSETS
+    cols = islice(combinations(range(1, 41), 21), 3200)
+    mat.write_text(BinMatrix.from_columns(40, cols).to_text())
+    code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", "20", "--l", "1",
+                         "--lambda", "1")
+    assert (code, out) == (2, "")
+    assert f"analysis limit of {xfc.analysis.MAX_TSETS} t-sets" in err
+
+
+@pytest.mark.parametrize("t, ell", [(200, 0), (199, 1)])
+def test_analyze_ratios_are_exact_past_the_float_range(capsys, tmp_path, t, ell):
+    # 200 ** 198 and 200 ** 199 overflow a float; the ratios divide ints
+    mat = tmp_path / "ones.mat"
+    mat.write_text("200 1\n" + "1\n" * 200)
+    code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", str(t),
+                         "--l", str(ell), "--lambda", "0")
+    assert code in (0, 1) and err == ""
+    ratios = json.loads(out)["empirical_ratios"]
+    assert ratios["higher_over_m_pow"] == 0.0
+    assert ratios["missing_over_m_pow"] == (comb(200, t) - (t == 200)) / 200 ** (t - 1)
 
 
 def test_missing_design_file_is_named_the_same_by_both_readers(capsys, tmp_path):
@@ -384,16 +411,27 @@ def test_bounds_refuse_negative_inputs(capsys, flag, formula):
 
 
 def test_bounds_missing_flags_are_named(capsys):
-    code, out, err = run(capsys, "bounds", "genl", "--m", "7")
-    assert code == 2 and out == ""
-    assert "missing required flag(s): --t, --l, --lambda" in err
+    # the flags of a bound formula or construct kind are required by the parser
+    for argv, missing in ((["bounds", "genl", "--m", "7"], "--t, --l, --lambda"),
+                          (["bounds", "pigeonhole", *GENL], "--profile"),
+                          (["construct", "kms", "--m", "7"], "--s"),
+                          (["construct", "split-1100", "--a", "1"], "--m, --b")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: xfc {argv[0]} ")
+        assert error == f"error: missing required argument(s): {missing}"
 
 
 @pytest.mark.parametrize("formula", sorted(BOUNDS))
 def test_bounds_without_flags_is_usage_error(capsys, formula):
-    code, out, err = run(capsys, "bounds", formula)
-    assert code == 2 and out == ""
-    assert "missing required flag(s)" in err and "NoneType" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", formula])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "error: missing required argument(s): --" in err and "NoneType" not in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -706,7 +744,6 @@ def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
 EXPORTS_WITHOUT_CALLERS = (
     ("block_support_count", "the per-split column count the construction, design and closed-form tests read"),
     ("write_design", "the design text writer the round-trip and verify-design tests use"),
-    ("w_z_sets", "the W/Z split of a row set; lemma_audit counts a^R in the same pass"),
 )
 
 
@@ -716,7 +753,7 @@ def test_every_export_has_a_caller():
     root = Path(__file__).resolve().parents[1]
     pkg = root / "src" / "xfc"
     exported = set(xfc._EXPORTS)
-    assert len(exported) == 47
+    assert len(exported) == 46
     users = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
     users += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
     used = set()
@@ -829,7 +866,7 @@ def test_flag_equals_value_reads_as_two_words(capsys):
 
 def test_int_values_may_be_negative():
     assert parse_args([*SEARCH, "--budget-nodes", "-1"]).budget_nodes == -1
-    assert parse_args(["bounds", "genl", "--lambda", "-3"]).lam == -3
+    assert parse_args(["bounds", "genl", *GENL, "--lambda", "-3"]).lam == -3
 
 
 def test_repeated_flag_last_wins(capsys):

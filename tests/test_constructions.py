@@ -228,8 +228,9 @@ def test_pigeonhole_holds_on_every_construction():
     ]
     for A, t, ell, lam in cases:
         R = A.restrict_sums(range(t, A.m - ell + 1))
-        prof = R.column_profile(t)
-        assert pigeonhole_terms(t, ell, lam, A.m, (prof.a_t, prof.a_t1, prof.a_higher)).holds
+        sums = R.column_sums()
+        profile = (sums.count(t), sums.count(t + 1), sum(s > t + 1 for s in sums))
+        assert pigeonhole_terms(t, ell, lam, A.m, profile).holds
 
 
 def test_support_pigeonhole_for_equal_rows_families():

@@ -148,16 +148,6 @@ def test_concat_row_mismatch():
         kms(3, 1).concat(kms(4, 1))
 
 
-def test_column_profile():
-    A = kms(7, 2).concat(fano_matrix())
-    p = A.column_profile(2)
-    assert (p.a_t, p.a_t1, p.a_higher) == (21, 7, 0)
-    z = BinMatrix(5, (0, 0))
-    assert z.column_profile(2).histogram == (2, 0, 0, 0, 0, 0)
-    p4 = full_cube(4).column_profile(2)
-    assert (p4.a_t, p4.a_t1, p4.a_higher) == (6, 4, 1)
-
-
 def test_is_simple():
     assert full_cube(3).is_simple()
     assert not BinMatrix(3, (0, 0)).is_simple()

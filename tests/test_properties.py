@@ -1,6 +1,8 @@
 """Property tests of the matrix and design text formats and the CLI's input errors,
 in files and in arguments."""
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -323,3 +325,34 @@ def test_cli_malformed_rows_is_usage_error(capsys, seven_rows, case):
     text, bad = case
     usage_error(capsys, ["analyze", "--matrix", str(seven_rows), "--t", "2", "--l", "1",
                          "--lambda", "1", f"--rows={text}"], bad)
+
+
+@st.composite
+def analyze_inputs(draw):
+    """An analyze call: a matrix of 1..300 rows and 0..3 columns, and t,
+    ell and lam, some of them out of range."""
+    m = draw(st.integers(1, 300))
+    # t near m as often as anywhere: C(m, t) is small there, m ** (t - 1) is not
+    t = draw(st.integers(1, m) | st.integers(max(1, m - 2), m))
+    full = (1 << m) - 1
+    column = st.sampled_from((0, full, (1 << t) - 1, (1 << t + 1) - 1 & full)) | st.integers(0, full)
+    cols = draw(st.lists(column, max_size=3))
+    return BinMatrix(m, tuple(cols)), t, draw(st.integers(-1, m)), draw(st.integers(-1, 3))
+
+
+@cli_args
+@given(analyze_inputs())
+def test_cli_analyze_answers_or_refuses(capsys, tmp_path, case):
+    # a verdict as one JSON line, or a usage error: never a traceback
+    A, t, ell, lam = case
+    path = tmp_path / "a.mat"
+    path.write_text(A.to_text())
+    code = main(["analyze", "--matrix", str(path), "--t", str(t), "--l", str(ell),
+                 "--lambda", str(lam), "--witness"])
+    out = capsys.readouterr()
+    if code == 2:
+        assert out.out == "" and out.err.startswith("error: ") and "Traceback" not in out.err
+    else:
+        assert code in (0, 1) and out.err == ""
+        (line,) = out.out.splitlines()
+        assert json.loads(line)["all_passed"] is (code == 0)
