@@ -11,6 +11,7 @@ verdict with a witness instead.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import comb
@@ -127,6 +128,14 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
             for r in rows_of(c):
                 per_row[r] += 1
     profile = (sums[t], sums[t + 1], sum(n for s, n in sums.items() if s > t + 1))
+    # the capacity C(m, t+ell) C(t+ell, ell) (lam+1) is the largest count printed; sized by
+    # count_layers, which stops early, it is refused before any binomial is built
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or no such limit): any int prints
+    most = 10 ** digits - 1
+    capacity = count_layers(A.m, (t + ell,), most) * count_layers(t + ell, (ell,), most) * (lam + 1)
+    if digits and capacity > most:
+        raise ValueError(f"at m={A.m}, t={t} the capacity C(m, t+l) C(t+l, l) (lambda+1) has more "
+                         f"than the {digits} digits Python prints")
     ph = pigeonhole_terms(t, ell, lam, A.m, profile)  # refuses ell < 0 and lam < 0
     table = tset_table(A, t, lam)
     row_cap = Fraction(lam + 1, t) * comb(A.m - 1, t - 1)
@@ -199,12 +208,11 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
             )
         )
 
-    scale = A.m ** (t - 1)  # int / int is correctly rounded and far inside float range
-    ratios = {
-        "missing_over_m_pow": n_missing / scale,
-        "higher_over_m_pow": profile[2] / scale,
-        "typical_deficit_over_m_pow": (n_tsets - len(typical)) / scale,
-    }
+    counts = {"missing_over_m_pow": n_missing, "higher_over_m_pow": profile[2],
+              "typical_deficit_over_m_pow": n_tsets - len(typical)}
+    # n / m ** (t-1) is correctly rounded, so 0.0 once (t-1)(bits(m)-1) >= bits(n) + 1076
+    zero = (t - 1) * (A.m.bit_length() - 1) >= max(counts.values()).bit_length() + 1076
+    ratios = {name: 0.0 if zero else n / A.m ** (t - 1) for name, n in counts.items()}
     return AnalysisReport(
         m=A.m,
         t=t,

@@ -26,11 +26,6 @@ class CliError(Exception):
     """Usage or input problem; maps to exit status 2."""
 
 
-def _rational(x) -> dict:
-    """An int or a Fraction as numerator, denominator and floor."""
-    return {"numerator": x.numerator, "denominator": x.denominator, "floor": x.numerator // x.denominator}
-
-
 def _bound_json(name: str, bv) -> dict:
     return {
         "formula": name,
@@ -135,7 +130,7 @@ def cmd_construct(args) -> int:
             "m": A.m,
             "ncols": A.ncols,
             # a construction returns only once its column count equals its bound
-            "claimed_bound": _rational(A.ncols) if avoided else None,
+            "claimed_bound": {"numerator": A.ncols, "denominator": 1, "floor": A.ncols} if avoided else None,
             "avoided_configuration": avoided,
             "verified": True,  # constructions are fail-closed; reaching here means checks passed
         }
@@ -295,8 +290,6 @@ def cmd_audit(args) -> int:
         ok = ok and bool(failed)
     print(json.dumps({"ok": ok, "results": lines}))
     return 0 if ok else NEGATIVE
-
-
 
 
 # Each subcommand's entry: its handler, its help, its positionals as (name,

@@ -68,56 +68,26 @@ def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
     Avoids lam+2 copies of the t-ones/ell-zeros column yet exceeds the
     genl bound by exceeder_gap(t, ell, lam); only possible because m is
     small."""
-    if not t > ell >= 1:
-        raise ValueError("need t > ell >= 1")
-    if lam < 1:
-        raise ValueError("need lam >= 1")
+    gap = exceeder_gap(t, ell, lam).exact  # refuses all but t > ell >= 1 and lam >= 1
     m = lam + t + ell
     A = layer_range(m, [*range(t + 2), *range(m - ell + 1, m + 1)])
-    want = genl_bound(t, ell, lam, m).exact + exceeder_gap(t, ell, lam).exact
+    want = genl_bound(t, ell, lam, m).exact + gap
     return _certified(A, want, Block(lam + 2, t, ell), "exceeder construction")
 
 
 def _near_regular_edges(m: int, d: int) -> list[tuple[int, int]]:
     """Edge list of a d-regular graph on vertices 1..m, or, when m*d is
-    odd, one with a single vertex of degree d-1.
+    odd, one with a single vertex of degree d-1; q10_construction ensures
+    0 <= d <= m - 1.
 
-    Circulant with differences 1..d//2; odd d adds the m/2 chord (m even)
-    or a matching leaving the last vertex short (m odd).
+    Circulant with differences 1..d//2; odd d adds the chords j, j + m//2
+    for j < m//2, a perfect matching (m even) or one that leaves vertex m
+    short (m odd, so d <= m - 2 and the chords' difference passes d//2).
     """
-    if d < 0 or d > m - 1:
-        raise ConstructionError(f"no graph on {m} vertices with degree {d}")
-    edges: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        edges.add((min(u, v), max(u, v)))
-
-    for delta in range(1, d // 2 + 1):
-        for v in range(m):
-            add(v + 1, (v + delta) % m + 1)
-    if d % 2 == 1:
-        if m % 2 == 0:
-            for v in range(m // 2):
-                add(v + 1, v + m // 2 + 1)
-        else:
-            # pair j with j + (m-1)/2 over 1..m-1; vertex m keeps degree d-1
-            half = (m - 1) // 2
-            if half <= d // 2:
-                raise ConstructionError(f"no near-regular realization for m={m}, d={d}")
-            for j in range(half):
-                add(j + 1, j + half + 1)
-    degs = [0] * (m + 1)
-    for u, v in edges:
-        degs[u] += 1
-        degs[v] += 1
-    short = [v for v in range(1, m + 1) if degs[v] != d]
-    if m * d % 2 == 0:
-        ok = not short
-    else:
-        ok = short == [m] and degs[m] == d - 1
-    if not ok:
-        raise RuntimeError(f"degree sequence broken: {degs[1:]}")
-    return sorted(edges)
+    pairs = [(v, (v + delta) % m) for delta in range(1, d // 2 + 1) for v in range(m)]
+    if d % 2:
+        pairs += [(j, j + m // 2) for j in range(m // 2)]
+    return sorted({(min(u, v) + 1, max(u, v) + 1) for u, v in pairs})
 
 
 def q10_construction(q: int, m: int) -> BinMatrix:
@@ -188,6 +158,4 @@ def split_1100_construction(m: int, a: int, b: int) -> BinMatrix:
     if b:
         A = A.concat(lambda_fold(base, b).incidence().complement())
     A = A.concat(layer_range(m, (m - 2, m - 1, m)))
-    if a <= 1 and b <= 1 and not A.is_simple():
-        raise ConstructionError("split 1100 construction unexpectedly non-simple")
     return _certified(A, bound_1100(a + b, m).exact, Block(a + b + 3, 2, 2), "split 1100 construction")

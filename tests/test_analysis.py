@@ -1,6 +1,8 @@
 """t-set tables, audit verdicts, row-set splits."""
 
+import json
 import random
+import sys
 import tracemalloc
 from itertools import combinations, islice
 from math import comb
@@ -201,6 +203,35 @@ def test_audit_builds_the_tset_table_once(monkeypatch):
     calls.clear()
     lemma_audit(A, 2, 1, 1, rows_r=(1,))
     assert len(calls) == 1
+
+
+def test_audit_refuses_exactly_the_counts_python_cannot_print():
+    # on 2,200 rows the capacity C(m, t+ell) C(t+ell, ell) (lam+1) passes
+    # 640 digits, the least limit Python allows, from t = 873, 857, 868
+    # and 852 on, in the order of (ell, lam) below; every other count fits
+    m, limit = 2200, sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for ell, lam in ((0, 0), (1, 0), (0, 9), (1, 9)):
+            for t in range(848, 878):
+                capacity = comb(m, t + ell) * comb(t + ell, ell) * (lam + 1)
+                if capacity >= 10 ** 640:
+                    with pytest.raises(ValueError, match=f"at m={m}, t={t} the capacity"):
+                        lemma_audit(BinMatrix(m, ()), t, ell, lam)
+                else:
+                    json.dumps(lemma_audit(BinMatrix(m, ()), t, ell, lam))  # every count prints
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_ratios_are_exact_where_the_power_is_skipped():
+    # m ** (t-1) is not built once every ratio rounds to 0.0: at m = 300
+    # from t = 172 on
+    m = 300
+    for t in range(1, m + 1):
+        exact = comb(m, t) / m ** (t - 1)
+        assert lemma_audit(BinMatrix(m, ()), t, 0, 0).ratios == {
+            "missing_over_m_pow": exact, "higher_over_m_pow": 0.0, "typical_deficit_over_m_pow": exact}
 
 
 def test_audit_row_set_section():

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ import xfc.analysis
 import xfc.search
 from xfc.bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
 from xfc.cli import BOUNDS, COMMANDS, main, parse_args
-from xfc.designs import DesignCheck, lambda_fold, sts, write_design
+from xfc.designs import MAX_FOLD_BLOCKS, DesignCheck, lambda_fold, sts, write_design
 from xfc.matrix import MAX_ROW_MASK_BITS, BinMatrix, read_matrix
 
 
@@ -285,6 +286,18 @@ def test_analyze_refuses_a_huge_tset_table(capsys, tmp_path):
     assert f"analysis limit of {xfc.analysis.MAX_TSETS} t-sets" in err
 
 
+def test_analyze_refuses_counts_too_long_to_print(capsys, tmp_path):
+    # the capacity C(15000, 7500) has 4,513 digits, more than Python turns
+    # into text by default; it is refused before any binomial is computed
+    mat = tmp_path / "a.mat"
+    mat.write_text("15000 0\n" + "\n" * 15000)
+    code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", "7500", "--l", "0",
+                         "--lambda", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: at m=15000, t=7500 the capacity")
+    assert f"the {sys.get_int_max_str_digits()} digits Python prints" in err
+
+
 @pytest.mark.parametrize("t, ell", [(200, 0), (199, 1)])
 def test_analyze_ratios_are_exact_past_the_float_range(capsys, tmp_path, t, ell):
     # 200 ** 198 and 200 ** 199 overflow a float; the ratios divide ints
@@ -369,6 +382,24 @@ def test_verify_design_at_lambda_zero_reads_only_the_blocks(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-design", str(single))
     assert code == 1
     assert json.loads(out)["witness"] == {"tset": [2998, 2999], "count": 1, "expected": 0}
+
+
+def test_verify_design_refuses_too_many_block_tsets(capsys, tmp_path):
+    # one block of 30 points holds C(30, 15) = 155 million 15-subsets: at
+    # lambda 1 they are refused before one is counted, at lambda 0 the
+    # verdict needs none of them
+    des = tmp_path / "big.des"
+    points = " ".join(map(str, range(1, 31)))
+    des.write_text(f"30 30 15 1 1\n{points}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-design", str(des))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: 1 x C(30, 15) block t-subsets exceed the limit of {MAX_FOLD_BLOCKS}\n"
+    des.write_text(f"30 30 15 0 1\n{points}\n")
+    code, out, err = run(capsys, "verify-design", str(des))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["witness"] == {"tset": list(range(1, 16)), "count": 1, "expected": 0}
 
 
 def test_bounds_subcommand(capsys):
@@ -924,3 +955,24 @@ def test_parse_errors_print_usage_and_name_the_token(capsys, argv, named):
     usage, error = err.splitlines()
     assert usage.startswith("usage: xfc ")
     assert error.startswith(f"error: {named}")
+
+
+# exit code of each xfc line of the README's command-line block, in order
+README_EXITS = [0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0]
+
+
+def test_readme_command_block(capsys, tmp_path, monkeypatch):
+    # every line runs through main in one directory, in order, with my.des
+    # a triple system and pattern.mat a 2 x 2 pattern
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("xfc ")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my.des").write_text(write_design(sts(7)))
+    (tmp_path / "pattern.mat").write_text("2 2\n10\n01\n")
+    codes = []
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert err == "", line
+        codes.append(code)
+    assert codes == README_EXITS

@@ -1,5 +1,6 @@
 """Construction generators and their self-verified claims."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -160,6 +161,22 @@ def test_q10_matches_lower_bound_across_range():
             assert A.is_simple()
 
 
+def test_near_regular_edges_degrees():
+    # the graph of q10_construction: every vertex has degree d = q - 3,
+    # except vertex m, which has d - 1 when m d is odd; edges distinct, u < v
+    graphs = 0
+    for q in range(3, 21):
+        d = q - 3
+        for m in range(q - 2, 40):
+            edges = xfc.constructions._near_regular_edges(m, d)
+            assert len(set(edges)) == len(edges) and all(1 <= u < v <= m for u, v in edges)
+            degree = Counter(v for e in edges for v in e)
+            want = [d] * (m - 1) + [d - m * d % 2]
+            assert [degree[v] for v in range(1, m + 1)] == want, (q, m)
+            graphs += 1
+    assert graphs == 549
+
+
 def test_q10_degenerate_rows_raise():
     # with 2 or 3 rows the required layers collide, so the simplicity
     # claim is unsatisfiable (and at m=2 the count bound is undefined)
@@ -192,6 +209,10 @@ def test_split_1100():
     assert A.ncols == 72
     assert A.is_simple()
     assert not contains_config(Block(5, 2, 2), A)
+    # with a, b <= 1 the parts have distinct column sums and repeat no column
+    for m in (7, 9, 13, 15, 19, 21, 25, 27, 31):
+        for a, b in ((1, 0), (0, 1), (1, 1)):
+            assert split_1100_construction(m, a, b).is_simple(), (m, a, b)
 
 
 def test_split_1100_complement_exchanges_designs():

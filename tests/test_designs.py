@@ -1,8 +1,10 @@
 """Design verification, divisibility, and the triple-system generators."""
 
 import hashlib
+import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -53,13 +55,36 @@ def test_all_triples_on_five_points():
 
 def test_lambda_zero_witness_is_the_first_covered_tset():
     # at lam = 0 the verdict comes from the blocks alone; it must name the
-    # t-set a scan in combination order meets first, with its count
+    # t-set a scan in combination order meets first, with its count.  At
+    # lam > 0 the witness is the first t-set whose count is not lam
+    def scan(blocks, m, t, lam):
+        cover = Counter(s for b in blocks for s in combinations(sorted(b), t))
+        first = next((s for s in combinations(range(1, m + 1), t) if cover[s] != lam), None)
+        return None if first is None else (first, cover[first])
+
     for t in range(4):
         for blocks in ([], FANO, FANO[3:], [(2, 5, 6), (1, 4, 7), (2, 5, 6)]):
-            cover = Counter(s for b in blocks for s in combinations(b, t))
-            scan = next((s for s in combinations(range(1, 8), t) if cover[s]), None)
-            want = None if scan is None else (scan, cover[scan])
-            assert verify_design(blocks, 7, 3, t, 0).witness == want, (t, blocks)
+            assert verify_design(blocks, 7, 3, t, 0).witness == scan(blocks, 7, t, 0), (t, blocks)
+    rng = random.Random(26)
+    designs = [(FANO, 7, 3, 2, 1), (FANO * 2, 7, 3, 2, 2), (list(combinations(range(1, 6), 3)), 5, 3, 2, 3)]
+    for _ in range(600):
+        m = rng.randint(1, 8)
+        k = rng.randint(0, m)
+        blocks = [rng.sample(range(1, m + 1), k) for _ in range(rng.randint(0, 6))]
+        designs.append((blocks, m, k, rng.randint(0, k), rng.randint(0, 3)))
+    for blocks, m, k, t, lam in designs:
+        assert verify_design(blocks, m, k, t, lam).witness == scan(blocks, m, t, lam), (blocks, m, t, lam)
+    assert sum(verify_design(*d).ok for d in designs) >= 3
+
+
+def test_coverage_count_is_refused_past_the_fold_limit():
+    # at lam > 0 the t-subsets of the blocks are counted only up to
+    # MAX_FOLD_BLOCKS of them; at lam 0 none are counted
+    blocks = [tuple(range(i + 1, i + 21)) for i in range(6)]
+    assert 5 * comb(20, 10) <= MAX_FOLD_BLOCKS < 6 * comb(20, 10)
+    with pytest.raises(ValueError, match=rf"6 x C\(20, 10\) block t-subsets exceed the limit of {MAX_FOLD_BLOCKS}"):
+        verify_design(blocks, 25, 20, 10, 1)
+    assert verify_design(blocks, 25, 20, 10, 0).witness == (tuple(range(1, 11)), 1)
 
 
 def test_verify_design_structural_errors():
@@ -87,7 +112,7 @@ def test_divisibility_matches_residue_classes():
 def test_sts_generator(m):
     d = sts(m)
     assert d.nblocks == m * (m - 1) // 6
-    assert d.is_simple()
+    assert d.incidence().is_simple()
     cover = pair_cover(d.blocks)
     assert all(cover[p] == 1 for p in combinations(range(1, m + 1), 2))
 
