@@ -11,7 +11,6 @@ verdict with a witness instead.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import comb
@@ -128,15 +127,8 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
             for r in rows_of(c):
                 per_row[r] += 1
     profile = (sums[t], sums[t + 1], sum(n for s, n in sums.items() if s > t + 1))
-    # the capacity C(m, t+ell) C(t+ell, ell) (lam+1) is the largest count printed; sized by
-    # count_layers, which stops early, it is refused before any binomial is built
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or no such limit): any int prints
-    most = 10 ** digits - 1
-    capacity = count_layers(A.m, (t + ell,), most) * count_layers(t + ell, (ell,), most) * (lam + 1)
-    if digits and capacity > most:
-        raise ValueError(f"at m={A.m}, t={t} the capacity C(m, t+l) C(t+l, l) (lambda+1) has more "
-                         f"than the {digits} digits Python prints")
-    ph = pigeonhole_terms(t, ell, lam, A.m, profile)  # refuses ell < 0 and lam < 0
+    # refuses ell < 0, lam < 0 and a capacity, the largest count printed, too long to print
+    ph = pigeonhole_terms(t, ell, lam, A.m, profile)
     table = tset_table(A, t, lam)
     row_cap = Fraction(lam + 1, t) * comb(A.m - 1, t - 1)
     need_zeros = lam + ell
@@ -208,11 +200,9 @@ def lemma_audit(A: BinMatrix, t: int, ell: int, lam: int, rows_r=None) -> Analys
             )
         )
 
-    counts = {"missing_over_m_pow": n_missing, "higher_over_m_pow": profile[2],
-              "typical_deficit_over_m_pow": n_tsets - len(typical)}
-    # n / m ** (t-1) is correctly rounded, so 0.0 once (t-1)(bits(m)-1) >= bits(n) + 1076
-    zero = (t - 1) * (A.m.bit_length() - 1) >= max(counts.values()).bit_length() + 1076
-    ratios = {name: 0.0 if zero else n / A.m ** (t - 1) for name, n in counts.items()}
+    scale = A.m ** (t - 1)
+    ratios = {"missing_over_m_pow": n_missing / scale, "higher_over_m_pow": profile[2] / scale,
+              "typical_deficit_over_m_pow": (n_tsets - len(typical)) / scale}
     return AnalysisReport(
         m=A.m,
         t=t,

@@ -8,6 +8,7 @@ evaluated at any m and carry a note saying so.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
@@ -86,12 +87,19 @@ def pigeonhole_terms(t: int, ell: int, lam: int, m: int, profile) -> PigeonholeC
 
     lhs weights the profile (a_t, a_{t+1}, a_{>=t+2}) by the number of
     t-ones/ell-zeros supports each column class provides; rhs is the
-    capacity C(m, t+ell) * C(t+ell, ell) * (lam+1).
+    capacity C(m, t+ell) * C(t+ell, ell) * (lam+1), refused before any
+    binomial is built when it has more digits than Python prints.
     """
     a_t, a_t1, a_higher = profile
     _nonnegative(t=t, ell=ell, lam=lam, m=m, a_t=a_t, a_t1=a_t1, a_higher=a_higher)
     if m < t + ell:
         raise ValueError("need m >= t + ell")
+    from .matrix import count_layers  # here, so that the bounds command starts without it
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or no such limit): any int prints
+    most = 10 ** digits - 1
+    if digits and count_layers(m, (t + ell,), most) * count_layers(t + ell, (ell,), most) * (lam + 1) > most:
+        raise ValueError(f"at m={m}, t={t} the capacity C(m, t+l) C(t+l, l) (lambda+1) has more "
+                         f"than the {digits} digits Python prints")
 
     def supports(s: int) -> int:
         """Supports of one sum-s column; none when no such column exists."""

@@ -70,7 +70,7 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
     t-subset of any block, with its count.
 
     Structural problems (wrong block size, point out of range) raise, as
-    do more than MAX_FOLD_BLOCKS block t-subsets at lam > 0.
+    do more than MAX_FOLD_BLOCKS t-subsets of distinct blocks at lam > 0.
     """
     if not 0 <= t <= k <= m:
         raise ValueError("need 0 <= t <= k <= m")
@@ -82,9 +82,14 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
             return DesignCheck()
         s = min(b[:t] for b in blocks)
         return DesignCheck((s, sum(set(s) <= set(b) for b in blocks)))
-    if blocks and count_layers(k, (t,), MAX_FOLD_BLOCKS // len(blocks)) * len(blocks) > MAX_FOLD_BLOCKS:
-        raise ValueError(f"{len(blocks)} x C({k}, {t}) block t-subsets exceed the limit of {MAX_FOLD_BLOCKS}")
-    cover = Counter(s for b in blocks for s in combinations(b, t))
+    mult = Counter(blocks)  # copies are counted once, weighted, so a fold fits when its design does
+    if mult and count_layers(k, (t,), MAX_FOLD_BLOCKS // len(mult)) * len(mult) > MAX_FOLD_BLOCKS:
+        raise ValueError(f"{len(mult)} distinct blocks x C({k}, {t}) t-subsets exceed the limit of "
+                         f"{MAX_FOLD_BLOCKS}")
+    cover = Counter(s for b in mult for s in combinations(b, t))
+    for b, n in mult.items():  # each further copy of a block covers its t-subsets again
+        for s in combinations(b, t) if n > 1 else ():
+            cover[s] += n - 1
     # every t-set the scan passes is covered, so it stops within len(cover) + 1 steps
     for s in combinations(range(1, m + 1), t):
         if cover[s] != lam:

@@ -224,16 +224,6 @@ def test_audit_refuses_exactly_the_counts_python_cannot_print():
         sys.set_int_max_str_digits(limit)
 
 
-def test_ratios_are_exact_where_the_power_is_skipped():
-    # m ** (t-1) is not built once every ratio rounds to 0.0: at m = 300
-    # from t = 172 on
-    m = 300
-    for t in range(1, m + 1):
-        exact = comb(m, t) / m ** (t - 1)
-        assert lemma_audit(BinMatrix(m, ()), t, 0, 0).ratios == {
-            "missing_over_m_pow": exact, "higher_over_m_pow": 0.0, "typical_deficit_over_m_pow": exact}
-
-
 def test_audit_row_set_section():
     A = design_plus_pairs(7)
     report = lemma_audit(A, 2, 1, 1, rows_r=[1])

@@ -296,6 +296,12 @@ def test_analyze_refuses_counts_too_long_to_print(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: at m=15000, t=7500 the capacity")
     assert f"the {sys.get_int_max_str_digits()} digits Python prints" in err
+    # inputs the bound refuses are named as such, however long the capacity
+    for t, ell, lam, named in (("7501", "-1", "0", "ell=-1"), ("7500", "0", "-1", "lam=-1"),
+                               ("7500", "7501", "0", "need m >= t + ell")):
+        code, out, err = run(capsys, "analyze", "--matrix", str(mat), "--t", t, "--l", ell,
+                             "--lambda", lam)
+        assert (code, out) == (2, "") and named in err
 
 
 @pytest.mark.parametrize("t, ell", [(200, 0), (199, 1)])
@@ -395,7 +401,7 @@ def test_verify_design_refuses_too_many_block_tsets(capsys, tmp_path):
     code, out, err = run(capsys, "verify-design", str(des))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == f"error: 1 x C(30, 15) block t-subsets exceed the limit of {MAX_FOLD_BLOCKS}\n"
+    assert err == f"error: 1 distinct blocks x C(30, 15) t-subsets exceed the limit of {MAX_FOLD_BLOCKS}\n"
     des.write_text(f"30 30 15 0 1\n{points}\n")
     code, out, err = run(capsys, "verify-design", str(des))
     assert (code, err) == (1, "")

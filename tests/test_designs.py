@@ -78,13 +78,20 @@ def test_lambda_zero_witness_is_the_first_covered_tset():
 
 
 def test_coverage_count_is_refused_past_the_fold_limit():
-    # at lam > 0 the t-subsets of the blocks are counted only up to
-    # MAX_FOLD_BLOCKS of them; at lam 0 none are counted
-    blocks = [tuple(range(i + 1, i + 21)) for i in range(6)]
-    assert 5 * comb(20, 10) <= MAX_FOLD_BLOCKS < 6 * comb(20, 10)
-    with pytest.raises(ValueError, match=rf"6 x C\(20, 10\) block t-subsets exceed the limit of {MAX_FOLD_BLOCKS}"):
-        verify_design(blocks, 25, 20, 10, 1)
-    assert verify_design(blocks, 25, 20, 10, 0).witness == (tuple(range(1, 11)), 1)
+    # at lam > 0 the t-subsets of the distinct blocks are counted only up to
+    # MAX_FOLD_BLOCKS of them, each weighted by its block's copies; at lam 0
+    # none are counted
+    blocks = [tuple(p for p in range(1, 1026) if p != i) for i in range(1, 1026)]
+    assert 1024 * comb(1024, 1) == MAX_FOLD_BLOCKS
+    assert verify_design(blocks[1:], 1025, 1024, 1, 1023).witness == ((1,), 1024)
+    limit = rf"1025 distinct blocks x C\(1024, 1\) t-subsets exceed the limit of {MAX_FOLD_BLOCKS}"
+    with pytest.raises(ValueError, match=limit):
+        verify_design(blocks, 1025, 1024, 1, 1024)
+    assert verify_design(blocks, 1025, 1024, 1, 0).witness == ((1,), 1024)
+    # a fold is refused only when its design is: 350,000 blocks of sts(7)
+    # hold 1,050,000 block t-subsets, but only 7 distinct blocks
+    fold = lambda_fold(sts(7), 50000)
+    assert verify_design(fold.blocks, 7, 3, 2, 50000).ok
 
 
 def test_verify_design_structural_errors():
