@@ -10,6 +10,7 @@ decimals.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from types import SimpleNamespace
@@ -86,10 +87,10 @@ def _parse_sums(text: str, m: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_matrix(path: str, A) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            A.write_text(fh)
     except OSError as e:
         raise CliError(f"cannot write {path}: {e}") from None
 
@@ -124,7 +125,7 @@ def cmd_construct(args) -> int:
         A = split_1100_construction(args.m, args.a, args.b)
         avoided = f"{args.a + args.b + 3},2,2"
     if args.out:  # written first, so a failed write prints nothing
-        _write_file(args.out, A.to_text())
+        _write_matrix(args.out, A)
     if args.meta:
         record = {
             "m": A.m,
@@ -138,7 +139,7 @@ def cmd_construct(args) -> int:
     elif args.out:
         print(f"wrote {A.m} x {A.ncols} matrix to {args.out}")
     if not args.out:
-        sys.stdout.write(A.to_text())
+        A.write_text(sys.stdout)
     return 0
 
 
@@ -264,7 +265,7 @@ def cmd_search(args) -> int:
         "witness_ncols": result.witness.ncols,
     }
     if args.witness_out:
-        _write_file(args.witness_out, result.witness.to_text())
+        _write_matrix(args.witness_out, result.witness)
     print(json.dumps(out))
     return 0
 
@@ -474,5 +475,19 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
 
 
+def run() -> None:
+    """The one exit of `python -m xfc.cli` and the `xfc` script.  Whatever
+    the exit code, and for -h and usage errors too, the collector is frozen
+    on the way out: the interpreter's shutdown collections would walk every
+    object still tracked and free nothing the output needs, since files
+    are closed by their with blocks and stdout and stderr are flushed
+    either way.  main() does not freeze, so it can run many times in one
+    process."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,25 +22,27 @@ MAX_STS_BLOCKS = 1 << 16
 MAX_FOLD_BLOCKS = 1 << 20
 
 
-def _sorted_blocks(blocks, m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The blocks with sorted points; each must be a k-subset of 1..m."""
-    blocks = tuple(tuple(sorted(b)) for b in blocks)
+def _check_blocks(blocks, m: int, k: int) -> None:
+    """Each block, a tuple of sorted points, must be a k-subset of 1..m."""
     for b in blocks:
         if len(b) != k or len(set(b)) != k:
             raise ValueError(f"block {b} is not a {k}-subset")
         if b and (b[0] < 1 or b[-1] > m):
             raise ValueError(f"block {b} has points outside 1..{m}")
-    return blocks
 
 
 class Design(namedtuple("Design", "m k t lam blocks")):
     """A multiset of k-subsets of [m], blocks sorted, claimed to be a
-    t-(m, k, lam) design; verify_design checks the claim."""
+    t-(m, k, lam) design; verify_design checks the claim.  The constructor
+    sorts and checks every block; _make and _replace take blocks already
+    sorted and checked."""
 
     __slots__ = ()
 
     def __new__(cls, m: int, k: int, t: int, lam: int, blocks):
-        return tuple.__new__(cls, (m, k, t, lam, _sorted_blocks(blocks, m, k)))
+        blocks = tuple(map(tuple, map(sorted, blocks)))
+        _check_blocks(blocks, m, k)
+        return tuple.__new__(cls, (m, k, t, lam, blocks))
 
     @property
     def nblocks(self) -> int:
@@ -76,13 +78,14 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
         raise ValueError("need 0 <= t <= k <= m")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    blocks = _sorted_blocks(blocks, m, k)
+    mult = Counter(map(tuple, map(sorted, blocks)))  # each distinct block, with its copies
+    _check_blocks(mult, m, k)  # once per distinct block
     if not lam:  # combination order is lexicographic, so b[:t] is b's least t-subset
-        if not blocks:
+        if not mult:
             return DesignCheck()
-        s = min(b[:t] for b in blocks)
-        return DesignCheck((s, sum(set(s) <= set(b) for b in blocks)))
-    mult = Counter(blocks)  # copies are counted once, weighted, so a fold fits when its design does
+        s = min(b[:t] for b in mult)
+        return DesignCheck((s, sum(n for b, n in mult.items() if set(s) <= set(b))))
+    # copies are counted once, weighted, so a fold fits when its design does
     if mult and count_layers(k, (t,), MAX_FOLD_BLOCKS // len(mult)) * len(mult) > MAX_FOLD_BLOCKS:
         raise ValueError(f"{len(mult)} distinct blocks x C({k}, {t}) t-subsets exceed the limit of "
                          f"{MAX_FOLD_BLOCKS}")
@@ -125,7 +128,7 @@ def lambda_fold(d: Design, c: int) -> Design:
         raise ValueError("fold factor must be >= 1")
     if d.nblocks * c > MAX_FOLD_BLOCKS:
         raise ValueError(f"{d.nblocks * c} blocks exceed the design limit of {MAX_FOLD_BLOCKS}")
-    return Design(d.m, d.k, d.t, c * d.lam, d.blocks * c)
+    return d._replace(lam=c * d.lam, blocks=d.blocks * c)
 
 
 def _quasigroup_triples(mod: int, op, lead) -> list[tuple[int, int, int]]:
@@ -199,4 +202,4 @@ def _block(fields: list, no: int, line: str) -> tuple[int, ...]:
 def read_design(text: str) -> Design:
     """Parse the design text format.  Round-trips with write_design()."""
     (m, k, t, lam, _), blocks = _read_text(text, "m k t lambda b", 4, "block", _block)
-    return Design(m, k, t, lam, tuple(blocks))
+    return Design._make((m, k, t, lam, tuple(blocks)))  # _block has sorted and checked each

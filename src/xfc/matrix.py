@@ -3,8 +3,8 @@
 A matrix is an ordered multiset of columns over rows 1..m.  Each column is
 stored as a packed bitmask (bit i-1 set <=> the column has a 1 in row i).
 ``_row_strings`` is the one transposition from columns to rows: the text
-writer and the containment search read rows through it, and the text
-reader inverts it with one base-2 parse per column.
+writer (a chunk of columns at a time) and the containment search read rows
+through it, and the text reader inverts it with one base-2 parse per column.
 Containment of blocks and general patterns, and maximum multiplicity, run
 one search over injective maps of the pattern's rows into A's rows.  All
 values are immutable named tuples, compared and hashed by their fields;
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
+from io import StringIO
 from itertools import combinations
 
 # Containment refuses a pattern whose row masks, one per distinct pattern
@@ -22,8 +23,10 @@ from itertools import combinations
 # would pass 256 MiB in all.
 MAX_ROW_MASK_BITS = 1 << 31
 # layer_range refuses more than 2^25 cells (m per column), counted before
-# enumerating: all 21 million of m = 20 take 56 MB, 163 MB as text.
+# enumerating: all 21 million of m = 20 take 56 MB.
 MAX_CELLS = 1 << 25
+# write_text transposes this many columns at a time
+TEXT_CHUNK = 1 << 12
 
 
 class MatrixFormatError(ValueError):
@@ -109,8 +112,22 @@ class BinMatrix(namedtuple("BinMatrix", "m cols")):
 
     def to_text(self) -> str:
         """Render in the matrix text format (see read_matrix)."""
-        rows = [s[::-1] for s in _row_strings(self.m, self.cols)]
-        return "\n".join([f"{self.m} {self.ncols}", *rows]) + "\n"
+        out = StringIO()
+        self.write_text(out)
+        return out.getvalue()
+
+    def write_text(self, fh) -> None:
+        """Write the matrix text format to fh a row at a time.  The rows are
+        cut from TEXT_CHUNK columns at a time, so no more than one copy of
+        the text is held, in pieces."""
+        fh.write(f"{self.m} {self.ncols}\n")
+        pieces = [[] for _ in range(self.m)]  # row r's text, TEXT_CHUNK columns a piece
+        for j in range(0, self.ncols, TEXT_CHUNK):
+            for row, s in zip(pieces, _row_strings(self.m, self.cols[j:j + TEXT_CHUNK])):
+                row.append(s[::-1])
+        for row in pieces:
+            fh.writelines(row)
+            fh.write("\n")
 
 
 def _layer(m: int, s: int) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
 """CLI dispatch, formats, and exit codes."""
 
 import ast
+import gc
 import importlib
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -643,6 +645,15 @@ def test_unwritable_witness_is_usage_error(capsys, tmp_path):
     assert f"cannot write {target}" in err and "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_that_fails_midway_is_usage_error(capsys):
+    # /dev/full opens, then refuses the rows: nothing reaches stdout
+    for argv in (["construct", "kms", "--m", "16", "--s", "8", "--meta", "-o", "/dev/full"],
+                 ["search", "--m", "5", "--config", "2,1,1", "--witness-out", "/dev/full"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: cannot write /dev/full")
+
+
 def test_search_workers_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["search", "--m", "7", "--config", "2,2,1", "--workers", "2"])
@@ -767,6 +778,64 @@ def test_optimized_interpreter_gives_the_same_output(argv):
                            text=True, env=env) for flags in ([], ["-O"])]
     assert runs[0].returncode == 0 and runs[0].stdout
     assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+def _xfc_process(*args: str, prefix=("-m", "xfc.cli")) -> subprocess.CompletedProcess:
+    """A fresh interpreter running prefix then args, output as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(xfc.__file__).parents[1]))
+    return subprocess.run([sys.executable, *prefix, *args], capture_output=True, env=env)
+
+
+# python -m xfc.cli, with an exit hook that prints the freeze count last
+FREEZE_PROBE = """import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("xfc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["bounds", "genl", *GENL], 0),
+    (["contains", "--quiet", "--config", "2,1,0", "--matrix", "{A}"], 1),  # one column: not contained
+    (["verify-design", "{A}.missing"], 2),  # a CliError
+    (["bounds", "genl", "--t", "x"], 2),  # a parse error
+    (["-h"], 0),
+])
+def test_every_exit_freezes_the_collector(tmp_path, args, code):
+    matrix = tmp_path / "A.mat"
+    matrix.write_text("1 1\n1\n")
+    proc = _xfc_process(*(a.format(A=matrix) for a in args), prefix=("-c", FREEZE_PROBE))
+    assert proc.returncode == code
+    *_, last = proc.stderr.decode().splitlines()
+    assert last.startswith("frozen ") and int(last.split()[1]) > 0
+
+
+def test_main_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "bounds", "genl", *GENL)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert gc.get_freeze_count() == before
+
+
+def test_output_is_complete_after_the_freeze(capsys, tmp_path):
+    # 12,870 columns to a pipe, and a matrix to a file, as main writes them
+    kms = ["construct", "kms", "--m", "16", "--s", "8"]
+    assert main(kms) == 0
+    want = capsys.readouterr().out.encode()
+    assert (_xfc_process(*kms).stdout, len(want)) == (want, len("16 12870\n") + 16 * 12_871)
+    genl = ["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "2", "--m", "19"]
+    assert main([*genl, "-o", str(tmp_path / "in.mat")]) == 0
+    want = capsys.readouterr().out.replace("in.mat", "out.mat").encode()
+    proc = _xfc_process(*genl, "-o", str(tmp_path / "out.mat"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"")
+    assert (tmp_path / "out.mat").read_bytes() == (tmp_path / "in.mat").read_bytes()
+
+
+def test_script_and_module_share_one_exit():
+    root = Path(__file__).resolve().parents[1]
+    script = re.search(r'^xfc = "xfc\.cli:(\w+)"$', (root / "pyproject.toml").read_text(), re.M)
+    source = (root / "src" / "xfc" / "cli.py").read_text()
+    assert source.endswith(f'\nif __name__ == "__main__":\n    {script[1]}()\n')
 
 
 def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Matrix core: representation, text format, containment decisions."""
 
+import os
 import random
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from xfc.constructions import split_1100_construction
 from xfc.designs import DesignCheck
 from xfc.matrix import (
     MAX_ROW_MASK_BITS,
+    TEXT_CHUNK,
     BinMatrix,
     Block,
     General,
@@ -22,6 +24,7 @@ from xfc.matrix import (
     RowSplit,
     block_support_count,
     contains_config,
+    layer_range,
     mask_of,
     max_block_multiplicity,
     read_matrix,
@@ -92,6 +95,27 @@ def test_text_round_trip_random():
 def test_text_format_is_column_down_lines():
     A = BinMatrix.from_columns(3, [(1, 3), (2,)])
     assert A.to_text() == "3 2\n10\n01\n10\n"
+
+
+def test_text_is_cut_into_chunks_of_columns_exactly():
+    # entry by entry, across two chunk boundaries and a short last chunk
+    rng = random.Random(7)
+    A = BinMatrix(9, tuple(rng.randrange(1 << 9) for _ in range(2 * TEXT_CHUNK + 5)))
+    rows = ["".join(str(c >> r & 1) for c in A.cols) for r in range(A.m)]
+    assert A.to_text() == "\n".join([f"9 {A.ncols}", *rows]) + "\n"
+
+
+def test_write_text_holds_about_one_copy_of_the_text():
+    A = layer_range(16, range(17))  # 2^16 columns, 1 MiB of row text
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            A.write_text(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # rendering the text as one string first peaks at 5.6 times it
+    assert peak < 1.5 * 16 * 65536
 
 
 @pytest.mark.parametrize(
