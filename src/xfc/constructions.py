@@ -1,17 +1,20 @@
 """Generators for the explicit extremal matrix constructions.
 
 Every generator is fail-closed: before returning, it re-checks its own
-claims (column count against the exact bound, pattern avoidance via the
-containment decision procedure, simplicity where claimed) and raises
-ConstructionError if any claim does not hold for the requested
-parameters.  So a returned matrix's column count is its verified bound.
+claims (column count, pattern avoidance via the containment decision
+procedure, simplicity where claimed) and raises ConstructionError if any
+claim does not hold for the requested parameters.  So a returned matrix's
+column count is its verified bound.  genl-equality and split-1100 count
+by their verified designs, since a t-(m, t+1, lam) design has
+lam C(m,t)/(t+1) blocks; the others check their counts against
+``xfc.bounds``, imported where used, so the first two load neither it nor
+``fractions``.
 Instances past the cell limit of ``xfc.matrix`` or the block limit of
 ``xfc.designs`` are refused with a ValueError before they are built.
 """
 
 from __future__ import annotations
 
-from .bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
 from .designs import Design, lambda_fold, sts, verify_design
 from .matrix import MAX_CELLS, BinMatrix, Block, contains_config, layer_range, mask_of
 
@@ -21,10 +24,10 @@ class ConstructionError(ValueError):
     parameters."""
 
 
-def _certified(A: BinMatrix, want, forbidden: Block, what: str) -> BinMatrix:
-    """A, once its column count is the bound want and it avoids forbidden;
-    otherwise a ConstructionError naming what."""
-    if A.ncols != want:
+def _certified(A: BinMatrix, forbidden: Block, what: str, want=None) -> BinMatrix:
+    """A, once its column count is the bound want, when one is given, and
+    it avoids forbidden; otherwise a ConstructionError naming what."""
+    if want is not None and A.ncols != want:
         raise ConstructionError(f"{what}: column count {A.ncols} != bound {want}")
     if contains_config(forbidden, A):
         raise ConstructionError(f"{what}: built matrix contains the forbidden {forbidden.q} x "
@@ -36,9 +39,13 @@ def genl_equality_construction(t: int, ell: int, lam: int, m: int,
                                design: Design | None = None) -> BinMatrix:
     """All columns of sums 0..t and m-ell+1..m once each, plus the
     incidence of a t-(m, t+1, lam) design, by default the lam-fold of
-    sts(m) (t = 2 only), or at lam = 0 the empty design (any t).  Hits
-    the genl bound exactly and avoids lam+2 copies of the t-ones/ell-zeros
-    column."""
+    sts(m) (t = 2 only), or at lam = 0 the empty design (any t).  Avoids
+    lam+2 copies of the t-ones/ell-zeros column.
+
+    The design is verified, and each of its blocks covers t+1 t-sets, so
+    it has lam C(m,t)/(t+1) blocks.  The column count is then
+    Sum_{i<=t} C(m,i) + lam C(m,t)/(t+1) + Sum_{i>m-ell} C(m,i), the genl
+    bound exactly."""
     if not t > ell >= 0:
         raise ValueError("need t > ell >= 0")
     if m < t + 1:
@@ -58,8 +65,7 @@ def genl_equality_construction(t: int, ell: int, lam: int, m: int,
             raise ConstructionError(f"design failed verification, witness {check.witness}")
     A = layer_range(m, range(t + 1)).concat(design.incidence())
     A = A.concat(layer_range(m, range(m - ell + 1, m + 1)))
-    return _certified(A, genl_bound(t, ell, lam, m).exact, Block(lam + 2, t, ell),
-                      "genl equality construction")
+    return _certified(A, Block(lam + 2, t, ell), "genl equality construction")
 
 
 def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
@@ -68,11 +74,12 @@ def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
     Avoids lam+2 copies of the t-ones/ell-zeros column yet exceeds the
     genl bound by exceeder_gap(t, ell, lam); only possible because m is
     small."""
+    from .bounds import exceeder_gap, genl_bound  # here, so that the other constructions start without it
     gap = exceeder_gap(t, ell, lam).exact  # refuses all but t > ell >= 1 and lam >= 1
     m = lam + t + ell
     A = layer_range(m, [*range(t + 2), *range(m - ell + 1, m + 1)])
     want = genl_bound(t, ell, lam, m).exact + gap
-    return _certified(A, want, Block(lam + 2, t, ell), "exceeder construction")
+    return _certified(A, Block(lam + 2, t, ell), "exceeder construction", want)
 
 
 def _near_regular_edges(m: int, d: int) -> list[tuple[int, int]]:
@@ -103,6 +110,7 @@ def q10_construction(q: int, m: int) -> BinMatrix:
         raise ValueError("need q >= 3")
     if m < q - 2:
         raise ValueError(f"need m >= q - 2 = {q - 2} for degree q - 3")
+    from .bounds import q10_lower
     try:
         want = q10_lower(q, m).floor_int
     except ValueError as e:
@@ -114,7 +122,7 @@ def q10_construction(q: int, m: int) -> BinMatrix:
     if not A.is_simple():
         raise ConstructionError(f"q10 construction is not simple at (q={q}, m={m}): "
                                 "layer sums collide for m <= 3")
-    return _certified(A, want, Block(q, 1, 1), "q10 construction")
+    return _certified(A, Block(q, 1, 1), "q10 construction", want)
 
 
 def small_m_pigeonhole_witness(q: int) -> BinMatrix:
@@ -130,12 +138,13 @@ def small_m_pigeonhole_witness(q: int) -> BinMatrix:
     if q < 3:
         raise ValueError("need q >= 3")
     m = q - 1
+    from .bounds import q10_upper
     try:
         want = q10_upper(q, m).floor_int
     except ValueError as e:
         raise ConstructionError(f"pigeonhole upper bound undefined at m={m}: {e}") from None
     A = layer_range(m, (0, 1, 2)).concat(layer_range(m, (m - 1, m)))
-    return _certified(A, want, Block(q, 1, 1), "small-m pigeonhole witness")
+    return _certified(A, Block(q, 1, 1), "small-m pigeonhole witness", want)
 
 
 def split_1100_construction(m: int, a: int, b: int) -> BinMatrix:
@@ -143,10 +152,11 @@ def split_1100_construction(m: int, a: int, b: int) -> BinMatrix:
     the blocks of a 2-(m, 3, a) design; sum-(m-3) columns the complements
     of the blocks of a 2-(m, 3, b) design.
 
-    Avoids a+b+3 copies of the two-ones-over-two-zeros column and has
-    exactly 2 + 2m + (2 + (a+b)/3) C(m, 2) columns.  The equality
-    characterization this realizes needs both a and b positive; a or b
-    equal to 0 still builds but sits outside it.  For a or b above 1 the
+    Avoids a+b+3 copies of the two-ones-over-two-zeros column.  sts(m)
+    verifies itself, so it has C(m, 2)/3 triples, and the matrix has
+    exactly 2 + 2m + (2 + (a+b)/3) C(m, 2) columns, the 1100 bound.  The
+    equality characterization this realizes needs both a and b positive;
+    a or b equal to 0 still builds but sits outside it.  For a or b above 1 the
     design layers repeat blocks, so the result is no longer simple.
     """
     if a < 0 or b < 0 or a + b < 1:
@@ -158,4 +168,4 @@ def split_1100_construction(m: int, a: int, b: int) -> BinMatrix:
     if b:
         A = A.concat(lambda_fold(base, b).incidence().complement())
     A = A.concat(layer_range(m, (m - 2, m - 1, m)))
-    return _certified(A, bound_1100(a + b, m).exact, Block(a + b + 3, 2, 2), "split 1100 construction")
+    return _certified(A, Block(a + b + 3, 2, 2), "split 1100 construction")

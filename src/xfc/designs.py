@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import combinations
 from math import comb
+from operator import ge
 
 from .matrix import BinMatrix, MatrixFormatError, _read_text, count_layers, mask_of
 
@@ -187,12 +188,12 @@ def _block(fields: list, no: int, line: str) -> tuple[int, ...]:
     """Block line no: k strictly ascending points in 1..m."""
     m, k = fields[:2]
     try:
-        pts = tuple(int(p) for p in line.split())
+        pts = tuple(map(int, line.split()))
     except ValueError:
         raise DesignFormatError(no, f"non-integer point in {line!r}") from None
     if len(pts) != k:
         raise DesignFormatError(no, f"expected {k} points, got {len(pts)}")
-    if any(x >= y for x, y in zip(pts, pts[1:])):
+    if any(map(ge, pts, pts[1:])):
         raise DesignFormatError(no, "block points must be strictly ascending")
     if pts and (pts[0] < 1 or pts[-1] > m):
         raise DesignFormatError(no, f"block points outside 1..{m}")

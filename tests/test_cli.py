@@ -35,7 +35,8 @@ def run(capsys, *argv):
 
 GENL = ["--t", "2", "--l", "1", "--lambda", "1", "--m", "7"]
 # the bound of each claim-bearing kind below, evaluated here because the
-# CLI reports the column count its construction checked against it
+# CLI reports the column count as the bound: genl-equality and split-1100
+# reach it by their verified designs, the rest check against it
 CLAIMS = {
     "exceeder": genl_bound(2, 1, 1, 4).exact + exceeder_gap(2, 1, 1).exact,
     "q10": q10_lower(4, 6).exact,
@@ -780,10 +781,32 @@ def test_optimized_interpreter_gives_the_same_output(argv):
     assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
 
 
-def _xfc_process(*args: str, prefix=("-m", "xfc.cli")) -> subprocess.CompletedProcess:
-    """A fresh interpreter running prefix then args, output as bytes."""
+def _xfc_process(*args: str, prefix=("-m", "xfc.cli"), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A fresh interpreter running prefix then args, output as bytes, with
+    stdout block-buffered into a pipe or file, as it is by default."""
     env = dict(os.environ, PYTHONPATH=str(Path(xfc.__file__).parents[1]))
-    return subprocess.run([sys.executable, *prefix, *args], capture_output=True, env=env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *prefix, *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+# a stdout that refuses every write: a pipe with its read end closed
+# before the child starts, or the full device
+CLOSED_PIPE, FULL_DEVICE = "stdout=closed-pipe", "stdout=/dev/full"
+
+
+def _failing_stdout_process(sink: str, *args: str, prefix=("-m", "xfc.cli")) -> subprocess.CompletedProcess:
+    """_xfc_process with stdout the sink CLOSED_PIPE or FULL_DEVICE names."""
+    if sink == FULL_DEVICE:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "wb") as full:
+            return _xfc_process(*args, prefix=prefix, stdout=full)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return _xfc_process(*args, prefix=prefix, stdout=write)
+    finally:
+        os.close(write)
 
 
 # python -m xfc.cli, with an exit hook that prints the freeze count last
@@ -799,14 +822,27 @@ runpy.run_module("xfc.cli", run_name="__main__", alter_sys=True)
     (["verify-design", "{A}.missing"], 2),  # a CliError
     (["bounds", "genl", "--t", "x"], 2),  # a parse error
     (["-h"], 0),
+    # stdout refuses the output: in main (200 kB), at run's flush (one line
+    # held in the buffer), and after the SystemExit of -h
+    (["construct", "kms", "--m", "16", "--s", "8", CLOSED_PIPE], 2),
+    (["bounds", "genl", *GENL, FULL_DEVICE], 2),
+    (["-h", CLOSED_PIPE], 2),
 ])
 def test_every_exit_freezes_the_collector(tmp_path, args, code):
     matrix = tmp_path / "A.mat"
     matrix.write_text("1 1\n1\n")
-    proc = _xfc_process(*(a.format(A=matrix) for a in args), prefix=("-c", FREEZE_PROBE))
+    args = [a.format(A=matrix) for a in args]
+    sink = args.pop() if args[-1] in (CLOSED_PIPE, FULL_DEVICE) else None
+    if sink:
+        proc = _failing_stdout_process(sink, *args, prefix=("-c", FREEZE_PROBE))
+    else:
+        proc = _xfc_process(*args, prefix=("-c", FREEZE_PROBE))
     assert proc.returncode == code
-    *_, last = proc.stderr.decode().splitlines()
+    *lines, last = proc.stderr.decode().splitlines()
     assert last.startswith("frozen ") and int(last.split()[1]) > 0
+    if sink:  # one error line, as for -o /dev/full: no traceback, and shutdown's flush stays quiet
+        reason = "Broken pipe" if sink == CLOSED_PIPE else "No space left on device"
+        assert len(lines) == 1 and re.fullmatch(rf"error: cannot write stdout: \[Errno \d+\] {reason}", lines[0])
 
 
 def test_main_does_not_freeze(capsys):
@@ -890,14 +926,17 @@ def test_exports_resolve_to_the_modules_named():
         xfc.no_such_name
 
 
-# subcommand -> (its arguments, the xfc modules besides xfc and xfc.cli
-# that running it loads)
+# subcommand, or construct with a second kind, -> (its arguments, the xfc
+# modules besides xfc and xfc.cli that running it loads)
 SUBCOMMAND_MODULES = {
     "contains": (["contains", "--config", "2,1,0", "--matrix", "{A}"], {"matrix"}),
     "bounds": (["bounds", "genl", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7"], {"bounds"}),
     "search": (["search", "--m", "5", "--config", "2,1,1"], {"matrix", "search"}),
+    # genl-equality and split-1100 count by their verified designs, so they evaluate no bound
     "construct": (["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1", "--m", "7"],
-                  {"bounds", "constructions", "designs", "matrix"}),
+                  {"constructions", "designs", "matrix"}),
+    "construct split-1100": (["construct", "split-1100", "--m", "7", "--a", "1", "--b", "1"],
+                             {"constructions", "designs", "matrix"}),
     "analyze": (["analyze", "--matrix", "{A}", "--t", "1", "--l", "1", "--lambda", "1"],
                 {"analysis", "bounds", "matrix"}),
     "audit": (["audit", "--m", "7"], {"analysis", "bounds", "constructions", "designs", "matrix"}),
@@ -929,6 +968,8 @@ def test_each_subcommand_imports_only_its_modules(command, tmp_path):
     assert _xfc_modules(loaded) == {"xfc", "xfc.cli"} | {f"xfc.{m}" for m in modules}
     # dataclasses costs 6-11 ms of start-up; only the search still uses it
     assert ("dataclasses" in loaded) == (command == "search")
+    # fractions, with the decimal it loads, only where a bound is evaluated
+    assert ("fractions" in loaded) == ("bounds" in modules)
     # the flag table needs neither argparse nor the gettext it loads
     assert not {"argparse", "gettext"} & loaded
 

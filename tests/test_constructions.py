@@ -7,9 +7,10 @@ from math import comb
 
 import pytest
 
+import xfc.bounds
 import xfc.constructions
 import xfc.designs
-from xfc.bounds import genl_bound, pigeonhole_terms, q10_lower, q10_upper
+from xfc.bounds import BoundValue, bound_1100, genl_bound, pigeonhole_terms, q10_lower, q10_upper
 from xfc.constructions import (
     ConstructionError,
     exceeder_construction,
@@ -18,7 +19,7 @@ from xfc.constructions import (
     small_m_pigeonhole_witness,
     split_1100_construction,
 )
-from xfc.designs import lambda_fold, sts
+from xfc.designs import Design, lambda_fold, sts
 from xfc.matrix import (MAX_CELLS, Block, RowSplit, block_support_count, contains_config,
                         count_layers, layer_range)
 
@@ -78,6 +79,55 @@ def test_genl_equality_with_folded_design():
     A = genl_equality_construction(2, 1, 2, 7, lambda_fold(sts(7), 2))
     assert A.ncols == genl_bound(2, 1, 2, 7).exact
     assert not contains_config(Block(4, 2, 1), A)
+
+
+def _sqs8() -> Design:
+    """SQS(8), a 3-(8, 4, 1) design: the 4-subsets of GF(2)^3 whose XOR is
+    0, point p standing for the vector p - 1."""
+    return Design(8, 4, 3, 1, [b for b in combinations(range(1, 9), 4)
+                               if (b[0] - 1) ^ (b[1] - 1) ^ (b[2] - 1) ^ (b[3] - 1) == 0])
+
+
+def test_genl_equality_count_is_the_genl_bound():
+    # the construction counts by its verified design, a t-(m, t+1, lam)
+    # design having lam C(m,t)/(t+1) blocks; this sweep checks the identity
+    # against the bound formula, across the built-in folds of sts(m)
+    cases = [(2, ell, lam, m, None) for ell in (0, 1) for lam in (1, 2, 3) for m in (7, 9, 13, 15, 19)]
+    cases += [(3, ell, 0, m, None) for ell in (0, 1, 2) for m in (4, 5, 8)]
+    cases.append((3, 1, 1, 8, _sqs8()))
+    for t, ell, lam, m, design in cases:
+        A = genl_equality_construction(t, ell, lam, m, design)
+        assert A.ncols == genl_bound(t, ell, lam, m).exact, (t, ell, lam, m)
+    assert A.ncols == 93 + 14 + 1 == 108  # layers 0..3 of 8 rows, the 14 blocks, the ones column
+
+
+def test_split_1100_count_is_the_1100_bound():
+    # sts(m) verifies itself, so it has C(m, 2)/3 triples
+    for m in (7, 9, 13):
+        for a, b in ((1, 0), (0, 1), (1, 1), (2, 1)):
+            assert split_1100_construction(m, a, b).ncols == bound_1100(a + b, m).exact, (m, a, b)
+
+
+# one instance of each construction, at a size where its claims hold; the
+# last three check their column counts against xfc.bounds
+BUILDS = (lambda: genl_equality_construction(2, 1, 1, 7), lambda: split_1100_construction(7, 1, 1),
+          lambda: exceeder_construction(2, 1, 1), lambda: q10_construction(4, 6),
+          lambda: small_m_pigeonhole_witness(4))
+
+
+def test_every_construction_refuses_a_matrix_with_its_forbidden_block(monkeypatch):
+    monkeypatch.setattr(xfc.constructions, "contains_config", lambda config, A: True)
+    for build in BUILDS:
+        with pytest.raises(ConstructionError, match="contains the forbidden"):
+            build()
+
+
+def test_count_checks_refuse_a_count_off_the_bound(monkeypatch):
+    for name in ("genl_bound", "q10_lower", "q10_upper"):
+        monkeypatch.setattr(xfc.bounds, name, lambda *args: BoundValue(1))
+    for build in BUILDS[2:]:
+        with pytest.raises(ConstructionError, match="column count"):
+            build()
 
 
 def test_genl_equality_builds_its_own_design_for_t2_only():
