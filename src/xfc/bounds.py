@@ -47,7 +47,13 @@ def designconfig_bound(t: int, k: int, lam: int, m: int) -> BoundValue:
     if not 0 <= t <= k <= m:
         raise ValueError("need 0 <= t <= k <= m")
     _nonnegative(lam=lam)
-    return BoundValue(Fraction(lam * comb(m, t), comb(k, t)), attained_by="design incidence")
+    return BoundValue(_design(t, k, lam, m), attained_by="design incidence")
+
+
+def _design(t: int, k: int, lam: int, m: int) -> Fraction:
+    """lam C(m,t) / C(k,t), the blocks of a t-(m, k, lam) design by double
+    counting: each layered bound's one term that is not a complete layer."""
+    return Fraction(lam * comb(m, t), comb(k, t))
 
 
 def _nonnegative(**values: int) -> None:
@@ -56,30 +62,30 @@ def _nonnegative(**values: int) -> None:
             raise ValueError(f"{name}={value} must be nonnegative")
 
 
+def _tplus1_notes(t: int, ell: int) -> tuple[str, ...]:
+    return (ASYMPTOTIC_NOTE, f"stated for t > ell, got t={t}, ell={ell}") if t <= ell else (ASYMPTOTIC_NOTE,)
+
+
 def genl_bound(t: int, ell: int, lam: int, m: int) -> BoundValue:
-    """Sum_{i<t} C(m,i) + (1 + lam/(t+1)) C(m,t) + Sum_{i>m-ell} C(m,i)."""
+    """Sum_{i<=t} C(m,i) + lam C(m,t)/(t+1) + Sum_{i>m-ell} C(m,i), ell <= m + 1;
+    one pass of C(m,i), i <= m, sums both layer ranges, as C(m, m-i) = C(m,i)."""
     _nonnegative(t=t, ell=ell, lam=lam, m=m)
-    notes = [ASYMPTOTIC_NOTE]
-    if t <= ell:
-        notes.append(f"stated for t > ell, got t={t}, ell={ell}")
-    low = sum(comb(m, i) for i in range(t))
-    mid = (1 + Fraction(lam, t + 1)) * comb(m, t)
-    high = sum(comb(m, i) for i in range(m - ell + 1, m + 1))
-    return BoundValue(low + mid + high, attained_by="genl equality construction", notes=tuple(notes))
+    if ell > m + 1:
+        raise ValueError(f"need l <= m + 1, got l={ell}, m={m}")
+    layers, c = 0, 1
+    for i in range(min(max(t + 1, ell), m + 1)):
+        layers += c * ((i <= t) + (i < ell))
+        c = c * (m - i) // (i + 1)
+    return BoundValue(layers + _design(t, t + 1, lam, m), attained_by="genl equality construction",
+                      notes=_tplus1_notes(t, ell))
 
 
 def design_tplus1_bound(t: int, ell: int, lam: int, m: int) -> BoundValue:
     """lam/(t+1) * C(m,t): max columns with sums in {t+1..m-1} avoiding
     lam+1 copies of the t-ones/ell-zeros column."""
     _nonnegative(t=t, ell=ell, lam=lam, m=m)
-    notes = [ASYMPTOTIC_NOTE]
-    if t <= ell:
-        notes.append(f"stated for t > ell, got t={t}, ell={ell}")
-    return BoundValue(
-        Fraction(lam, t + 1) * comb(m, t),
-        attained_by="design with block size t+1",
-        notes=tuple(notes),
-    )
+    return BoundValue(_design(t, t + 1, lam, m), attained_by="design with block size t+1",
+                      notes=_tplus1_notes(t, ell))
 
 
 def pigeonhole_terms(t: int, ell: int, lam: int, m: int, profile) -> PigeonholeCheck:
@@ -129,21 +135,15 @@ def bound_1100(lam: int, m: int) -> BoundValue:
     """2 + 2m + (2 + lam/3) C(m,2) for avoiding lam+3 copies of the
     two-ones/two-zeros column."""
     _nonnegative(lam=lam, m=m)
-    return BoundValue(
-        2 + 2 * m + (2 + Fraction(lam, 3)) * comb(m, 2),
-        attained_by="split 1100 construction",
-        notes=(ASYMPTOTIC_NOTE,),
-    )
+    return BoundValue(2 + 2 * m + 2 * comb(m, 2) + _design(2, 3, lam, m),
+                      attained_by="split 1100 construction", notes=(ASYMPTOTIC_NOTE,))
 
 
 def design_1100_bound(lam: int, m: int) -> BoundValue:
     """lam/3 * C(m,2) for column sums in {3..m-3}."""
     _nonnegative(lam=lam, m=m)
-    return BoundValue(
-        Fraction(lam, 3) * comb(m, 2),
-        attained_by="split 1100 middle layers",
-        notes=(ASYMPTOTIC_NOTE,),
-    )
+    return BoundValue(_design(2, 3, lam, m), attained_by="split 1100 middle layers",
+                      notes=(ASYMPTOTIC_NOTE,))
 
 
 def turan_threshold(m: int, t: int, k: int) -> BoundValue:

@@ -3,9 +3,9 @@
 Subcommands: construct, contains, verify-design, bounds, analyze, search,
 audit.  Exit status 0 on success, 1 on a negative verdict, 2 on usage or
 input errors (an instance beyond the search size limits included), 3 on an
-internal failure such as a witness that fails its replay.  Rational values
-are always printed as numerator and denominator plus floor, never as
-decimals.
+internal failure such as a witness that fails its replay or a construction
+that fails its own checks.  Rational values are always printed as
+numerator and denominator plus floor, never as decimals.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ NEGATIVE = 1
 INTERNAL_ERROR = 3
 
 
-class CliError(Exception):
-    """Usage or input problem; maps to exit status 2."""
-
-
 def _bound_json(name: str, bv) -> dict:
     return {
         "formula": name,
@@ -41,33 +37,33 @@ def _bound_json(name: str, bv) -> dict:
 
 def _read_file(path: str, parse):
     """parse(text of path); a file that cannot be opened or decoded, or a
-    format error from the parser, becomes a CliError naming the file."""
+    format error from the parser, becomes a ValueError naming the file."""
     from .matrix import MatrixFormatError  # the error of both text formats
 
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
     except (OSError, UnicodeDecodeError) as e:
-        raise CliError(f"cannot read {path}: {e}") from None
+        raise ValueError(f"cannot read {path}: {e}") from None
     except MatrixFormatError as e:
-        raise CliError(f"{path}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _ints(flag: str, text: str, form: str | None = None, sep: str = ",") -> list[int]:
     """The integers of text split at sep; with form, such as 'q,t,l', as
-    many as form has fields.  Other text is a CliError that names flag and
+    many as form has fields.  Other text is a ValueError that names flag and
     quotes the bad field (and the text it is in), or the whole text when
     the count is wrong."""
     fields = text.split(sep)
     if form is not None and len(fields) != len(form.split(sep)):
-        raise CliError(f"{flag} must be {form!r}, got {text!r}")
+        raise ValueError(f"{flag} must be {form!r}, got {text!r}")
     out = []
     for field in fields:
         try:
             out.append(int(field))
         except ValueError:
             where = "" if field == text else f" in {text!r}"
-            raise CliError(f"{flag}: non-integer field {field!r}{where}") from None
+            raise ValueError(f"{flag}: non-integer field {field!r}{where}") from None
     return out
 
 
@@ -78,12 +74,12 @@ def _parse_sums(text: str, m: int) -> frozenset[int]:
     for part in text.split(","):
         ends = _ints("--sums", part, sep="..")
         if len(ends) > 2:
-            raise CliError(f"--sums must list sums and lo..hi ranges, got {part!r}")
+            raise ValueError(f"--sums must list sums and lo..hi ranges, got {part!r}")
         lo, hi = ends[0], ends[-1]
         if not (0 <= lo <= m and 0 <= hi <= m):
-            raise CliError(f"sums outside 0..{m}: {text!r}")
+            raise ValueError(f"sums outside 0..{m}: {text!r}")
         if lo > hi:
-            raise CliError(f"sums range {part!r} is reversed")
+            raise ValueError(f"sums range {part!r} is reversed")
         out.update(range(lo, hi + 1))
     return frozenset(out)
 
@@ -93,7 +89,7 @@ def _write_matrix(path: str, A) -> None:
         with open(path, "w") as fh:
             A.write_text(fh)
     except OSError as e:
-        raise CliError(f"cannot write {path}: {e}") from None
+        raise ValueError(f"cannot write {path}: {e}") from None
 
 
 def cmd_construct(args) -> int:
@@ -104,7 +100,7 @@ def cmd_construct(args) -> int:
     from .matrix import layer_range
 
     kind = args.kind
-    avoided = None
+    avoided = f"{args.lam + 2},{args.t},{args.l}" if kind in ("genl-equality", "exceeder") else None
     if kind == "kms":
         A = layer_range(args.m, (args.s,))
     elif kind == "layers":
@@ -112,10 +108,8 @@ def cmd_construct(args) -> int:
     elif kind == "genl-equality":
         d = _read_file(args.design, read_design) if args.design else None
         A = genl_equality_construction(args.t, args.l, args.lam, args.m, d)
-        avoided = f"{args.lam + 2},{args.t},{args.l}"
     elif kind == "exceeder":
         A = exceeder_construction(args.t, args.l, args.lam)
-        avoided = f"{args.lam + 2},{args.t},{args.l}"
     elif kind == "q10":
         A = q10_construction(args.q, args.m)
         avoided = f"{args.q},1,1"
@@ -131,9 +125,7 @@ def cmd_construct(args) -> int:
         record = {
             "m": A.m,
             "ncols": A.ncols,
-            # a construction returns only once its column count equals its bound:
-            # genl-equality and split-1100 by their verified designs, the rest
-            # checked against xfc.bounds
+            # a returned construction's column count is its verified bound
             "claimed_bound": {"numerator": A.ncols, "denominator": 1, "floor": A.ncols} if avoided else None,
             "avoided_configuration": avoided,
             "verified": True,  # constructions are fail-closed; reaching here means checks passed
@@ -207,7 +199,7 @@ def cmd_bounds(args) -> int:
     name = args.formula
     func_name, flags = BOUNDS[name]
     func = getattr(bounds, func_name)
-    values = [getattr(args, "lam" if f == "lambda" else f) for f in flags]
+    values = [getattr(args, _dest(f"--{f}")) for f in flags]
     if name == "pigeonhole":
         check = func(*values, _ints("--profile", args.profile, "a_t,a_t1,a_higher"))
         print(json.dumps({"formula": name, "lhs": check.lhs, "rhs": check.rhs,
@@ -470,10 +462,10 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, TypeError) as e:  # ConstructionError is a ValueError
+    except ValueError as e:  # refused input; MatrixFormatError and ConstructionError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except RuntimeError as e:
+    except (RuntimeError, TypeError) as e:  # a fault: no input raises these from a subcommand
         print(f"internal error: {e}", file=sys.stderr)
         return INTERNAL_ERROR
 
@@ -496,7 +488,7 @@ def run() -> None:
         except SystemExit as e:  # -h, or a usage error
             code = e.code
         sys.stdout.flush()
-    except OSError as e:  # main turns every file's OSError into a CliError, so this is stdout's
+    except OSError as e:  # main turns every file's OSError into a ValueError, so this is stdout's
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write stdout: {e}", file=sys.stderr)
         code = USAGE_ERROR

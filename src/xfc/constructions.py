@@ -1,37 +1,38 @@
 """Generators for the explicit extremal matrix constructions.
 
-Every generator is fail-closed: before returning, it re-checks its own
-claims (column count, pattern avoidance via the containment decision
-procedure, simplicity where claimed) and raises ConstructionError if any
-claim does not hold for the requested parameters.  So a returned matrix's
-column count is its verified bound.  genl-equality and split-1100 count
-by their verified designs, since a t-(m, t+1, lam) design has
-lam C(m,t)/(t+1) blocks; the others check their counts against
-``xfc.bounds``, imported where used, so the first two load neither it nor
-``fractions``.
-Instances past the cell limit of ``xfc.matrix`` or the block limit of
-``xfc.designs`` are refused with a ValueError before they are built.
+Every generator is fail-closed: before returning, it re-checks its
+avoidance claim with the containment decision procedure, and its column
+count where no verified design implies it.  genl-equality and split-1100
+count by their verified designs, since a t-(m, t+1, lam) design has
+lam C(m,t)/(t+1) blocks; the others check against ``xfc.bounds``,
+imported where used, so the first two load neither it nor ``fractions``.
+No input can fail these checks, so a failure is a RuntimeError.  Inputs
+with no construction raise ConstructionError; instances past the cell
+limit of ``xfc.matrix``, the block limit of ``xfc.designs`` or the
+exceeder's self-check limit, a ValueError before they are built.
 """
 
 from __future__ import annotations
 
 from .designs import Design, lambda_fold, sts, verify_design
-from .matrix import MAX_CELLS, BinMatrix, Block, contains_config, layer_range, mask_of
+from .matrix import (MAX_CELLS, MAX_ROW_MASK_BITS, BinMatrix, Block, contains_config, count_layers,
+                     layer_range, mask_of)
 
 
 class ConstructionError(ValueError):
-    """A construction's own size/avoidance claim failed for the requested
-    parameters."""
+    """No construction exists for these parameters: a given design that does
+    not match or fails verification, q10 on m <= 3 rows whose layers collide,
+    or the small-m witness at q = 3."""
 
 
 def _certified(A: BinMatrix, forbidden: Block, what: str, want=None) -> BinMatrix:
     """A, once its column count is the bound want, when one is given, and
-    it avoids forbidden; otherwise a ConstructionError naming what."""
+    it avoids forbidden; otherwise a RuntimeError naming what."""
     if want is not None and A.ncols != want:
-        raise ConstructionError(f"{what}: column count {A.ncols} != bound {want}")
+        raise RuntimeError(f"{what}: column count {A.ncols} != bound {want}")
     if contains_config(forbidden, A):
-        raise ConstructionError(f"{what}: built matrix contains the forbidden {forbidden.q} x "
-                                f"(ones={forbidden.t}, zeros={forbidden.ell}) block")
+        raise RuntimeError(f"{what}: built matrix contains the forbidden {forbidden.q} x "
+                           f"(ones={forbidden.t}, zeros={forbidden.ell}) block")
     return A
 
 
@@ -73,11 +74,17 @@ def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
 
     Avoids lam+2 copies of the t-ones/ell-zeros column yet exceeds the
     genl bound by exceeder_gap(t, ell, lam); only possible because m is
-    small."""
+    small.  Every split holds lam+1 columns, so the self-check walks all
+    C(m,t) C(m-t,ell) splits over all columns; past MAX_ROW_MASK_BITS for
+    that product, the instance is refused before it is built."""
     from .bounds import exceeder_gap, genl_bound  # here, so that the other constructions start without it
     gap = exceeder_gap(t, ell, lam).exact  # refuses all but t > ell >= 1 and lam >= 1
-    m = lam + t + ell
-    A = layer_range(m, [*range(t + 2), *range(m - ell + 1, m + 1)])
+    m, most = lam + t + ell, MAX_ROW_MASK_BITS
+    low, high = range(t + 2), range(m - ell + 1, m + 1)
+    if ((count_layers(m, low, most) + count_layers(m, high, most)) * count_layers(m, (t,), most)
+            * count_layers(m - t, (ell,), most) > most):
+        raise ValueError(f"exceeder self-check at m={m}: splits times columns exceed the limit of {most}")
+    A = layer_range(m, [*low, *high])
     want = genl_bound(t, ell, lam, m).exact + gap
     return _certified(A, Block(lam + 2, t, ell), "exceeder construction", want)
 

@@ -1,6 +1,7 @@
 """Exact rational bound formulas."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -48,6 +49,42 @@ def test_genl_bound():
 def test_genl_bound_flags_inverted_parameters():
     b = genl_bound(1, 2, 1, 6)
     assert any("t > ell" in note for note in b.notes)
+
+
+def test_layered_bounds_are_sums_of_binomials():
+    # each of the five bounds against its own sum of math.comb terms, over
+    # t <= m+2, l <= m+1, lam <= 3, m <= 15; genl refuses exactly l > m+1
+    for m in range(16):
+        for lam in range(4):
+            assert bound_1100(lam, m).exact == 2 + 2 * m + 2 * comb(m, 2) + Fraction(lam * comb(m, 2), 3)
+            assert design_1100_bound(lam, m).exact == Fraction(lam, 3) * comb(m, 2)
+            for t in range(m + 3):
+                design = Fraction(lam, t + 1) * comb(m, t)
+                for k in range(t, m + 1):
+                    assert designconfig_bound(t, k, lam, m).exact * comb(k, t) == lam * comb(m, t)
+                for ell in range(m + 2):
+                    notes = genl_bound(t, ell, lam, m).notes
+                    assert (len(notes) == 2) == (t <= ell) and notes == design_tplus1_bound(t, ell, lam, m).notes
+                    low = sum(comb(m, i) for i in range(t + 1))
+                    high = sum(comb(m, i) for i in range(m - ell + 1, m + 1))
+                    assert genl_bound(t, ell, lam, m).exact == low + design + high, (t, ell, lam, m)
+                    assert design_tplus1_bound(t, ell, lam, m).exact == design
+                for ell in (m + 2, 2 * m + 5):
+                    with pytest.raises(ValueError, match=f"need l <= m \\+ 1, got l={ell}, m={m}"):
+                        genl_bound(t, ell, lam, m)
+    assert genl_bound(2, 8, 1, 7).exact == 1 + 7 + 21 + 7 + 2 ** 7 == 164
+
+
+def test_genl_bound_sums_its_layers_in_one_pass():
+    # one running binomial, not t + l separate ones: at m = 10,000 each
+    # took about 5 s as t + l calls of math.comb; and none past C(m, m)
+    m = 10_000
+    for t, ell, want in ((5000, 0, (2 ** m + comb(m, 5000)) // 2),
+                         (2, 5000, 1 + m + comb(m, 2) + (2 ** m - comb(m, 5000)) // 2),
+                         (m, 0, 2 ** m), (0, m + 1, 1 + 2 ** m), (10 ** 9, 0, 2 ** m)):
+        start = time.perf_counter()
+        assert genl_bound(t, ell, 0, m).exact == want
+        assert time.perf_counter() - start < 1.0, (t, ell)
 
 
 def test_design_tplus1_bound():

@@ -1,6 +1,7 @@
 """CLI dispatch, formats, and exit codes."""
 
 import ast
+import builtins
 import gc
 import importlib
 import json
@@ -20,8 +21,10 @@ import pytest
 
 import xfc
 import xfc.analysis
+import xfc.bounds
+import xfc.constructions
 import xfc.search
-from xfc.bounds import bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
+from xfc.bounds import BoundValue, bound_1100, exceeder_gap, genl_bound, q10_lower, q10_upper
 from xfc.cli import BOUNDS, COMMANDS, main, parse_args
 from xfc.designs import MAX_FOLD_BLOCKS, DesignCheck, lambda_fold, sts, write_design
 from xfc.matrix import MAX_ROW_MASK_BITS, BinMatrix, read_matrix
@@ -760,11 +763,58 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on line(s) {lines}"
-        # nor may a failed self-check raise AssertionError, which the CLI
-        # does not map to an exit code
-        raised = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
-                  and "AssertionError" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}]
-        assert not raised, f"{path.name}: raise AssertionError on line(s) {raised}"
+
+
+# the raises of protocols other than the exit codes, each at its one site:
+# (module, function) -> exception
+PROTOCOL_RAISES = {
+    ("xfc", "__getattr__"): "AttributeError",  # a module attribute that does not exist
+    ("xfc.analysis", "check"): "KeyError",  # AnalysisReport.check of an unknown name
+    ("xfc.cli", "_help"): "SystemExit",  # the flag parser's -h
+    ("xfc.cli", "_fail"): "SystemExit",  # the flag parser's usage error
+    ("xfc.search", "__init__"): "TypeError",  # _Kernel of a general pattern, which the CLI never builds
+}
+
+
+def _raises(tree: ast.AST, function: str = ""):
+    """(function, raise node) for each raise under tree, with the name of
+    the innermost function around it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise):
+            yield function, node
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _raises(node, inner)
+
+
+def test_exception_class_decides_the_exit_code():
+    # main maps a ValueError to exit 2 (refused input) and a RuntimeError or
+    # TypeError to 3 (internal failure), so every raise in the package names
+    # one of those kinds, apart from the protocol raises above: never, say,
+    # an AssertionError, which main would not map to an exit code
+    pkg = Path(xfc.__file__).parent
+    seen = set()
+    for path in sorted(pkg.glob("*.py")):
+        name = "xfc" if path.stem == "__init__" else f"xfc.{path.stem}"
+        module = importlib.import_module(name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function, node in _raises(tree):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert isinstance(exc, ast.Name), f"{name}:{node.lineno}: raise of no named class"
+            cls = getattr(module, exc.id, None) or getattr(builtins, exc.id)
+            if PROTOCOL_RAISES.get((name, function)) == exc.id:
+                seen.add((name, function))
+                continue
+            assert issubclass(cls, (ValueError, RuntimeError)), f"{name}:{node.lineno}: raise {exc.id}"
+        # and every exception class the package defines is one main maps to exit 2
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__.startswith("xfc"):
+                assert issubclass(cls, ValueError), f"{name}: {cls.__name__} is not a ValueError"
+    assert seen == set(PROTOCOL_RAISES)
+    main_def = next(node for node in ast.walk(ast.parse((pkg / "cli.py").read_text()))
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [(ast.unparse(h.type), next(ast.unparse(r.value) for r in ast.walk(h) if isinstance(r, ast.Return)))
+                for node in ast.walk(main_def) if isinstance(node, ast.Try) for h in node.handlers]
+    assert handlers == [("ValueError", "USAGE_ERROR"), ("(RuntimeError, TypeError)", "INTERNAL_ERROR")]
 
 
 @pytest.mark.parametrize("argv", [
@@ -819,7 +869,7 @@ runpy.run_module("xfc.cli", run_name="__main__", alter_sys=True)
 @pytest.mark.parametrize("args, code", [
     (["bounds", "genl", *GENL], 0),
     (["contains", "--quiet", "--config", "2,1,0", "--matrix", "{A}"], 1),  # one column: not contained
-    (["verify-design", "{A}.missing"], 2),  # a CliError
+    (["verify-design", "{A}.missing"], 2),  # a ValueError
     (["bounds", "genl", "--t", "x"], 2),  # a parse error
     (["-h"], 0),
     # stdout refuses the output: in main (200 kB), at run's flush (one line
@@ -880,6 +930,79 @@ def test_failed_design_self_check_is_internal_error(capsys, monkeypatch):
                          "--lambda", "1", "--m", "7")
     assert code == 3 and out == ""
     assert err.startswith("internal error: generated triple system failed verification")
+
+
+# each construction that checks a claim, with its flags; the last three
+# also check their column counts against xfc.bounds
+SELF_CHECKED = {
+    "genl-equality": GENL, "split-1100": ["--m", "7", "--a", "1", "--b", "1"],
+    "exceeder": ["--t", "2", "--l", "1", "--lambda", "1"], "q10": ["--q", "4", "--m", "6"],
+    "small-m-witness": ["--q", "4"],
+}
+# python -m xfc.cli with one self-check of xfc.constructions made to fail
+FAULT_PROBE = """import runpy, sys, xfc.bounds, xfc.constructions
+if sys.argv.pop(1) == "avoidance":
+    xfc.constructions.contains_config = lambda config, A: True
+else:
+    for name in ("genl_bound", "q10_lower", "q10_upper"):
+        setattr(xfc.bounds, name, lambda *args: xfc.bounds.BoundValue(1))
+runpy.run_module("xfc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("check, kind", [("avoidance", kind) for kind in SELF_CHECKED]
+                         + [("count", kind) for kind in list(SELF_CHECKED)[2:]])
+def test_failed_self_check_is_internal_error(capsys, monkeypatch, check, kind):
+    # no input fails a construction's own checks, so a failure is exit 3,
+    # not the exit 2 that would call the input bad
+    argv = ["construct", kind, *SELF_CHECKED[kind]]
+    if check == "avoidance":
+        monkeypatch.setattr(xfc.constructions, "contains_config", lambda config, A: True)
+    else:
+        for name in ("genl_bound", "q10_lower", "q10_upper"):
+            monkeypatch.setattr(xfc.bounds, name, lambda *args: BoundValue(1))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    want = "contains the forbidden" if check == "avoidance" else "column count"
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ") and want in err
+    if kind in ("genl-equality", "exceeder"):  # once in a fresh process, as the xfc script runs it
+        proc = _xfc_process(check, *argv, prefix=("-c", FAULT_PROBE))
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (3, b"", err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-design", "{tmp}/missing.des"],
+     "cannot read {tmp}/missing.des: [Errno 2] No such file or directory: '{tmp}/missing.des'"),
+    (["contains", "--config", "2,1,1", "--matrix", "{tmp}/bad.mat"], "{tmp}/bad.mat: line 3: invalid character 'x'"),
+    (["contains", "--config", "2,x,1", "--matrix", "{tmp}/A.mat"], "--config: non-integer field 'x' in '2,x,1'"),
+    (["construct", "layers", "--m", "6", "--sums", "4..2"], "sums range '4..2' is reversed"),
+    (["construct", "kms", "--m", "4", "--s", "2", "-o", "{tmp}/no/A.mat"],
+     "cannot write {tmp}/no/A.mat: [Errno 2] No such file or directory: '{tmp}/no/A.mat'"),
+])
+def test_refused_input_is_usage_error(capsys, tmp_path, argv, message):
+    (tmp_path / "bad.mat").write_text("2 2\n10\n0x\n")
+    (tmp_path / "A.mat").write_text("1 1\n1\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    want = f"error: {message.format(tmp=tmp_path)}\n"
+    assert run(capsys, *argv) == (2, "", want)
+    proc = _xfc_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", want)
+
+
+def test_exceeder_past_its_self_check_limit_is_usage_error(capsys):
+    # 6,126,120 splits x 200,128 columns: a walk of about 4.6 minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "exceeder", "--t", "9", "--l", "4", "--lambda", "5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: exceeder self-check at m=18: splits times columns exceed the limit of {MAX_ROW_MASK_BITS}\n"
+
+
+def test_genl_refuses_l_past_m_plus_1_by_its_flags(capsys):
+    assert run(capsys, "bounds", "genl", "--t", "2", "--l", "20", "--lambda", "1", "--m", "7") == (
+        2, "", "error: need l <= m + 1, got l=20, m=7\n")
+    code, out, _ = run(capsys, "bounds", "genl", "--t", "2", "--l", "8", "--lambda", "1", "--m", "7")
+    assert code == 0 and json.loads(out)["exact_numerator"] == 164
 
 
 # exported for tests only: the references their checks compare against

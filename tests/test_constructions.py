@@ -1,5 +1,6 @@
 """Construction generators and their self-verified claims."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +21,7 @@ from xfc.constructions import (
     split_1100_construction,
 )
 from xfc.designs import Design, lambda_fold, sts
-from xfc.matrix import (MAX_CELLS, Block, RowSplit, block_support_count, contains_config,
+from xfc.matrix import (MAX_CELLS, MAX_ROW_MASK_BITS, Block, RowSplit, block_support_count, contains_config,
                         count_layers, layer_range)
 
 
@@ -116,9 +117,11 @@ BUILDS = (lambda: genl_equality_construction(2, 1, 1, 7), lambda: split_1100_con
 
 
 def test_every_construction_refuses_a_matrix_with_its_forbidden_block(monkeypatch):
+    # avoidance follows from the verified design or complete layers, so no
+    # input fails the check: a failure is an internal fault, not a ValueError
     monkeypatch.setattr(xfc.constructions, "contains_config", lambda config, A: True)
     for build in BUILDS:
-        with pytest.raises(ConstructionError, match="contains the forbidden"):
+        with pytest.raises(RuntimeError, match="contains the forbidden"):
             build()
 
 
@@ -126,7 +129,7 @@ def test_count_checks_refuse_a_count_off_the_bound(monkeypatch):
     for name in ("genl_bound", "q10_lower", "q10_upper"):
         monkeypatch.setattr(xfc.bounds, name, lambda *args: BoundValue(1))
     for build in BUILDS[2:]:
-        with pytest.raises(ConstructionError, match="column count"):
+        with pytest.raises(RuntimeError, match="column count"):
             build()
 
 
@@ -186,6 +189,22 @@ def test_exceeder_non_integral_gap_parameters():
     A = exceeder_construction(3, 1, 1)
     assert A.m == 5 and A.ncols == 32
     assert A.ncols - genl_bound(3, 1, 1, 5).exact == Fraction(5, 2)
+
+
+def test_exceeder_refuses_a_self_check_past_the_limit(monkeypatch):
+    # every split of an exceeder holds lam+1 columns, so its self-check
+    # walks all C(m,t) C(m-t,l) splits over all columns: 6,126,120 x 200,128
+    # at (9, 4, 5), about 4.6 minutes on 2 cores, is refused unbuilt
+    start = time.perf_counter()
+    for t, ell, lam in ((9, 4, 5), (7, 4, 4), (10**6, 1, 1)):
+        with pytest.raises(ValueError, match=f"splits times columns exceed the limit of {MAX_ROW_MASK_BITS}"):
+            exceeder_construction(t, ell, lam)
+    assert time.perf_counter() - start < 1.0
+    # (7, 3, 4), 120,120 splits x 13,017 columns, about 0.6 s of walk, sits
+    # under it and builds (its walk skipped here); (7, 4, 4) does not
+    assert comb(14, 7) * comb(7, 3) * 13_017 <= MAX_ROW_MASK_BITS < comb(15, 7) * comb(8, 4) * 23_395
+    monkeypatch.setattr(xfc.constructions, "contains_config", lambda config, A: False)
+    assert exceeder_construction(7, 3, 4).ncols == 13_017
 
 
 def test_exceeder_parameter_validation():
