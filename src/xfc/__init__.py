@@ -29,9 +29,8 @@ _EXPORTS = {
         "verify_design", "write_design",
     ), "designs"),
     **dict.fromkeys((
-        "BinMatrix", "Block", "Configuration", "General", "MatrixFormatError", "RowSplit",
-        "block_support_count", "contains_config", "layer_range", "max_block_multiplicity",
-        "read_matrix",
+        "BinMatrix", "Block", "Configuration", "General", "MatrixFormatError", "block_support_count",
+        "contains_config", "layer_range", "max_block_multiplicity", "read_matrix",
     ), "matrix"),
     **dict.fromkeys(
         ("SearchProblem", "SearchResult", "exact_max", "exhaustive_oracle", "verify_witness"), "search"),

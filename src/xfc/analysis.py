@@ -25,7 +25,7 @@ from .matrix import MAX_CELLS, BinMatrix, count_layers, mask_of, rows_of
 MAX_TSETS = 1 << 16
 
 
-class TsetTable(namedtuple("TsetTable", "m t lam mu d")):
+class TsetTable(namedtuple("TsetTable", "lam mu d")):
     """The t-sets a matrix's columns hold, as row masks like its columns:
     mu is the frozenset of the sum-t columns, and the Counter d maps each
     t-set inside a sum-(t+1) column to how many such columns contain it,
@@ -52,7 +52,7 @@ def tset_table(A: BinMatrix, t: int, lam: int) -> TsetTable:
         raise ValueError(f"a table of up to {masks} t-sets on {A.m} rows exceeds the analysis "
                          f"limit of {MAX_TSETS} t-sets and {MAX_CELLS} cells")
     d = Counter(c ^ 1 << r - 1 for c in high for r in rows_of(c))
-    return TsetTable(A.m, t, lam, frozenset(low), d)
+    return TsetTable(lam, frozenset(low), d)
 
 
 class AuditCheck(namedtuple("AuditCheck", "name witness detail")):

@@ -160,12 +160,26 @@ def turan_threshold(m: int, t: int, k: int) -> BoundValue:
     return BoundValue(exact)
 
 
-def exceeder_gap(t: int, ell: int, lam: int) -> BoundValue:
-    """ell/(t+1) * C(lam+t+ell, t): how far the small-m construction sits
-    above genl_bound at m = lam+t+ell.  Exact rational; not always an
-    integer even though the column-count difference it equals is."""
+def exceeder_rows(t: int, ell: int, lam: int) -> int:
+    """lam+t+ell, the small-m exceeder's row count m, for t > ell >= 1 and lam >= 1 only."""
     if not t > ell >= 1:
         raise ValueError("need t > ell >= 1")
     if lam < 1:
         raise ValueError("need lam >= 1")
-    return BoundValue(Fraction(ell, t + 1) * comb(lam + t + ell, t))
+    return lam + t + ell
+
+
+def exceeder_gap(t: int, ell: int, lam: int) -> BoundValue:
+    """ell/(t+1) * C(m, t): how far the exceeder sits above genl_bound at its
+    m.  Exact rational; not always an integer even though the column-count
+    difference it equals is.  Refused, before C(m, t) is built, when its
+    numerator has more digits than Python prints."""
+    m = exceeder_rows(t, ell, lam)
+    from .matrix import count_layers  # here, so that the bounds command starts without it
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or no such limit): any int prints
+    # a count past this limit puts the gap, and so its numerator, past 10^digits
+    c = count_layers(m, (t,), (t + 1) * 10 ** digits // ell) if digits else comb(m, t)
+    gap = Fraction(ell * c, t + 1)
+    if digits and gap.numerator >= 10 ** digits:
+        raise ValueError(f"at t={t} the exceeder gap has more than the {digits} digits Python prints")
+    return BoundValue(gap)

@@ -75,17 +75,16 @@ def exceeder_construction(t: int, ell: int, lam: int) -> BinMatrix:
     Avoids lam+2 copies of the t-ones/ell-zeros column yet exceeds the
     genl bound by exceeder_gap(t, ell, lam); only possible because m is
     small.  Every split holds lam+1 columns, so the self-check walks all
-    C(m,t) C(m-t,ell) splits over all columns; past MAX_ROW_MASK_BITS for
-    that product, the instance is refused before it is built."""
-    from .bounds import exceeder_gap, genl_bound  # here, so that the other constructions start without it
-    gap = exceeder_gap(t, ell, lam).exact  # refuses all but t > ell >= 1 and lam >= 1
-    m, most = lam + t + ell, MAX_ROW_MASK_BITS
+    C(m,t) C(m-t,ell) splits; past MAX_ROW_MASK_BITS for that product
+    times the column count, the instance is refused before it is built."""
+    from .bounds import exceeder_gap, exceeder_rows, genl_bound  # the other constructions start without it
+    m, most = exceeder_rows(t, ell, lam), MAX_ROW_MASK_BITS
     low, high = range(t + 2), range(m - ell + 1, m + 1)
     if ((count_layers(m, low, most) + count_layers(m, high, most)) * count_layers(m, (t,), most)
             * count_layers(m - t, (ell,), most) > most):
         raise ValueError(f"exceeder self-check at m={m}: splits times columns exceed the limit of {most}")
     A = layer_range(m, [*low, *high])
-    want = genl_bound(t, ell, lam, m).exact + gap
+    want = genl_bound(t, ell, lam, m).exact + exceeder_gap(t, ell, lam).exact
     return _certified(A, Block(lam + 2, t, ell), "exceeder construction", want)
 
 

@@ -101,25 +101,16 @@ def verify_design(blocks, m: int, k: int, t: int, lam: int) -> DesignCheck:
     return DesignCheck()
 
 
-class DivisibilityCheck(namedtuple("DivisibilityCheck", "per_index")):
-    """per_index[i]: whether the condition for index i holds."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(self.per_index.values())
-
-
-def divisibility_check(t: int, k: int, lam: int, m: int) -> DivisibilityCheck:
-    """Necessary conditions C(k-i, t-i) | lam * C(m-i, t-i) for i = 0..t-1.
+def divisibility_check(t: int, k: int, lam: int, m: int) -> dict[int, bool]:
+    """Necessary conditions C(k-i, t-i) | lam * C(m-i, t-i) for i = 0..t-1,
+    as a dict from each index i to whether its condition holds.
 
     The i=0 condition is what makes the Steiner residue classes mod 6
     emerge.
     """
     if not 0 <= t <= k <= m:
         raise ValueError("need 0 <= t <= k <= m")
-    return DivisibilityCheck({i: (lam * comb(m - i, t - i)) % comb(k - i, t - i) == 0 for i in range(t)})
+    return {i: (lam * comb(m - i, t - i)) % comb(k - i, t - i) == 0 for i in range(t)}
 
 
 def lambda_fold(d: Design, c: int) -> Design:
@@ -155,7 +146,7 @@ def sts(m: int) -> Design:
     commutative quasigroup h(x+y mod 2n), h(2i) = i and h(2i+1) = n+i,
     which fixes the first n diagonal entries.
     """
-    if m < 7 or not divisibility_check(2, 3, 1, m).ok:
+    if m < 7 or not all(divisibility_check(2, 3, 1, m).values()):
         raise ValueError(f"no Steiner triple system on {m} points (need m = 1, 3 mod 6, m >= 7)")
     if m * (m - 1) // 6 > MAX_STS_BLOCKS:
         raise ValueError(f"{m * (m - 1) // 6} blocks exceed the triple system limit of {MAX_STS_BLOCKS}")

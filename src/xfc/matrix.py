@@ -163,22 +163,6 @@ def layer_range(m: int, sums) -> BinMatrix:
     return BinMatrix(m, tuple(c for s in sums for c in _layer(m, s)))
 
 
-class RowSplit(namedtuple("RowSplit", "ones zeros")):
-    """A disjoint (ones-rows, zeros-rows) pair of row subsets, each sorted."""
-
-    __slots__ = ()
-
-    def __new__(cls, ones, zeros):
-        ones, zeros = tuple(sorted(ones)), tuple(sorted(zeros))
-        if set(ones) & set(zeros):
-            raise ValueError("ones-rows and zeros-rows must be disjoint")
-        return tuple.__new__(cls, (ones, zeros))
-
-    def valid_for(self, m: int) -> bool:
-        pts = self.ones + self.zeros
-        return all(1 <= r <= m for r in pts)
-
-
 class Block(namedtuple("Block", "q t ell")):
     """The (t+ell) x q pattern of q identical columns: t ones over ell zeros."""
 
@@ -189,14 +173,10 @@ class Block(namedtuple("Block", "q t ell")):
             raise ValueError(f"Block parameters must be nonnegative, got {q},{t},{ell}")
         return tuple.__new__(cls, (q, t, ell))
 
-    @property
-    def nrows(self) -> int:
-        return self.t + self.ell
-
     def pattern(self) -> BinMatrix:
         """Expand to the equivalent general (0,1)-pattern."""
         col = (1 << self.t) - 1
-        return BinMatrix(self.nrows, (col,) * self.q)
+        return BinMatrix(self.t + self.ell, (col,) * self.q)
 
 
 class General(namedtuple("General", "pattern")):
@@ -208,42 +188,47 @@ class General(namedtuple("General", "pattern")):
 Configuration = Block | General
 
 
-def block_support_count(A: BinMatrix, split: RowSplit) -> int:
-    """Columns of A (with multiplicity) that are all-1 on the ones-rows and
-    all-0 on the zeros-rows of the split: one AND per column."""
-    if not split.valid_for(A.m):
+def block_support_count(A: BinMatrix, ones, zeros) -> int:
+    """Columns of A (with multiplicity) that are all-1 on the rows ones and
+    all-0 on the disjoint rows zeros: one AND per column."""
+    if not all(1 <= r <= A.m for r in (*ones, *zeros)):
         raise ValueError(f"split rows outside 1..{A.m}")
-    tmask, rows = mask_of(split.ones), mask_of(split.ones + split.zeros)
-    return sum(1 for c in A.cols if c & rows == tmask)
+    tmask, zmask = mask_of(ones), mask_of(zeros)
+    if tmask & zmask:
+        raise ValueError("ones-rows and zeros-rows must be disjoint")
+    return sum(1 for c in A.cols if c & (tmask | zmask) == tmask)
 
 
-def max_block_multiplicity(A: BinMatrix, t: int, ell: int) -> tuple[int, RowSplit]:
+def max_block_multiplicity(A: BinMatrix, t: int, ell: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Maximum of block_support_count over all (t, ell) row splits, with the
-    lexicographically least maximizing split.  Requires t + ell <= m."""
+    lexicographically least maximizing split as (count, ones, zeros), each
+    row tuple ascending.  Requires t + ell <= m."""
     if t < 0 or ell < 0:
         raise ValueError("t and ell must be nonnegative")
     if t + ell > A.m:
         raise ValueError(f"t + ell = {t + ell} exceeds row count {A.m}")
-    best = 0, RowSplit(range(1, t + 1), range(t + 1, t + ell + 1))  # when every count is 0
+    best = 0, tuple(range(1, t + 1)), tuple(range(t + 1, t + ell + 1))  # when every count is 0
     for counts, rows in _row_maps(A, t + ell, {(1 << t) - 1: 1}):
-        best = counts[0], RowSplit(rows[:t], rows[t:])
+        best = counts[0], tuple(rows[:t]), tuple(rows[t:])
     return best
 
 
 def contains_config(config: Configuration, A: BinMatrix) -> bool:
     """True iff some submatrix of A is a row and column permutation of the
-    configuration.  A pattern wider or taller than A is never contained;
-    patterns with zero columns (or zero multiplicity) are contained
-    vacuously.  A block is searched as its one distinct column and never
-    expanded."""
+    configuration; patterns with zero columns (or zero multiplicity) are
+    contained vacuously.  A block is searched as its one distinct column
+    and never expanded.  Only the columns of A that fit a pattern column c,
+    with sum in [ones(c), m - zeros(c)], are searched, as a column used for
+    c agrees with c on all its rows; so a pattern taller than A, which no
+    column fits, is never contained, nor is one wider than A."""
     if isinstance(config, Block):
-        k, want = config.nrows, {(1 << config.t) - 1: config.q}
+        k, want = config.t + config.ell, {(1 << config.t) - 1: config.q}
     else:
         k, want = config.pattern.m, Counter(config.pattern.cols)
     total = sum(want.values())
     if not total:
         return True
-    return k <= A.m and total <= A.ncols and next(_row_maps(A, k, want), None) is not None
+    return total <= A.ncols and next(_row_maps(A, k, want), None) is not None
 
 
 def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
@@ -256,21 +241,29 @@ def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
 
     An A column matches at most one pattern column, so a row map contains
     the pattern iff every count reaches want.  Segment j of the mask for a
-    pattern row and A row r (bits j*n.., n = A.ncols) holds the columns of
-    A that agree in row r with distinct column j in that pattern row, so
-    the search is an iterative DFS over the pattern rows carrying the AND
-    of the chosen masks.  A row only shrinks the AND, so a branch whose
-    popcount is below the total wanted is cut, and so is one where some
-    later group of equal pattern rows has fewer A rows keeping that total
-    on their own than it has rows.  A leaf is injective once every count
-    reaches want: two pattern rows differ in some column, whose segment a
-    shared A row empties."""
-    need, n, nseg = list(want.values()), A.ncols, len(want)
+    pattern row and A row r (bits j*n.., n the columns kept below) holds
+    the kept columns of A that agree in row r with distinct column j in
+    that pattern row, so the search is an iterative DFS over the pattern
+    rows carrying the AND of the chosen masks.  A row only shrinks the
+    AND, so a branch whose popcount is below the total wanted is cut, and
+    so is one where some later group of equal pattern rows has fewer A
+    rows keeping that total on their own than it has rows.  A leaf is
+    injective once every count reaches want: two pattern rows differ in
+    some column, whose segment a shared A row empties.
+
+    Only the columns of A that fit some distinct pattern column c, with sum
+    in [ones(c), m - zeros(c)], are transposed: a column a leaf counts for
+    c agrees with c on all k rows, and every cut is taken on a superset of
+    a leaf's support, so the walk yields the same maps in the same order."""
+    need, nseg = list(want.values()), len(want)
+    fit = {s for ones in {c.bit_count() for c in want} for s in range(ones, ones + A.m - k + 1)}
+    cols = [c for c in A.cols if c.bit_count() in fit]
+    n = len(cols)
     prow, end, starts = _pattern_rows(k, tuple(want))
     distinct = set(prow)
     if len(distinct) * A.m * nseg * n > MAX_ROW_MASK_BITS:
         raise ValueError(f"containment row masks exceed the limit of {MAX_ROW_MASK_BITS} bits")
-    reps = [int("0" + s * nseg, 2) for s in _row_strings(A.m, A.cols)]  # a row's ones, per segment
+    reps = [int("0" + s * nseg, 2) for s in _row_strings(A.m, cols)]  # a row's ones, per segment
     masks = {}
     for v in distinct:  # flip the segments of the columns with a 0 in pattern row v
         flip = int("0" + "".join("0" * n if v >> j & 1 else "1" * n for j in reversed(range(nseg))), 2)

@@ -1,6 +1,7 @@
 """Exact rational bound formulas."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -133,6 +134,26 @@ def test_exceeder_gap():
         exceeder_gap(1, 1, 1)
 
 
+def test_exceeder_gap_refuses_exactly_the_gaps_python_cannot_print():
+    # at 640 digits, the least limit Python allows, the gap's numerator
+    # passes the limit from t = 2324, 2314 and 797 on, in the order of
+    # (ell, lam) below; every gap before those is the exact value
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for ell, lam, first in ((1, 600, 2324), (2, 600, 2314), (3, 1500, 797)):
+            for t in range(first - 5, first + 5):
+                gap = Fraction(ell, t + 1) * comb(lam + t + ell, t)
+                assert (gap.numerator >= 10 ** 640) == (t >= first)
+                if t >= first:
+                    with pytest.raises(ValueError, match=f"at t={t} the exceeder gap has more than the 640 digits"):
+                        exceeder_gap(t, ell, lam)
+                else:
+                    assert exceeder_gap(t, ell, lam).exact == gap
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_decomposition_identity():
     # genl bound minus the outer layers and the sum-t layer leaves exactly
     # the design-sized middle
@@ -150,7 +171,7 @@ def test_decomposition_identity():
 
 def test_integrality_follows_divisibility():
     for m in range(3, 101):
-        if divisibility_check(2, 3, 1, m).ok:
+        if all(divisibility_check(2, 3, 1, m).values()):
             assert designconfig_bound(2, 3, 1, m).exact.denominator == 1
 
 

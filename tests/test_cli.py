@@ -998,6 +998,20 @@ def test_exceeder_past_its_self_check_limit_is_usage_error(capsys):
     assert err == f"error: exceeder self-check at m=18: splits times columns exceed the limit of {MAX_ROW_MASK_BITS}\n"
 
 
+def test_exceeder_gap_too_long_to_print_is_usage_error(capsys):
+    # C(2000001, 1000000) is refused from its first thousand factors, not
+    # built; construct refuses the self-check before it reaches the gap
+    digits = sys.get_int_max_str_digits()
+    for argv, message in (
+        (("bounds", "exceeder-gap"), f"at t=1000000 the exceeder gap has more than the {digits} digits"),
+        (("construct", "exceeder"), "exceeder self-check at m=2000001: splits times columns exceed the limit"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--t", "1000000", "--l", "1", "--lambda", "1000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+
+
 def test_genl_refuses_l_past_m_plus_1_by_its_flags(capsys):
     assert run(capsys, "bounds", "genl", "--t", "2", "--l", "20", "--lambda", "1", "--m", "7") == (
         2, "", "error: need l <= m + 1, got l=20, m=7\n")
@@ -1018,7 +1032,7 @@ def test_every_export_has_a_caller():
     root = Path(__file__).resolve().parents[1]
     pkg = root / "src" / "xfc"
     exported = set(xfc._EXPORTS)
-    assert len(exported) == 46
+    assert len(exported) == 45
     users = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
     users += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
     used = set()

@@ -21,7 +21,7 @@ from xfc.constructions import (
     split_1100_construction,
 )
 from xfc.designs import Design, lambda_fold, sts
-from xfc.matrix import (MAX_CELLS, MAX_ROW_MASK_BITS, Block, RowSplit, block_support_count, contains_config,
+from xfc.matrix import (MAX_CELLS, MAX_ROW_MASK_BITS, Block, block_support_count, contains_config,
                         count_layers, layer_range)
 
 
@@ -65,6 +65,16 @@ def test_genl_equality_m7():
 def test_genl_equality_m9():
     A = genl_equality_construction(2, 1, 1, 9, sts(9))
     assert A.ncols == genl_bound(2, 1, 1, 9).exact == 59
+
+
+def test_genl_equality_self_check_is_fast_at_large_m():
+    # the sum-0, sum-1 and all-ones columns fit no (2, 1) split and are
+    # dropped before the self-check; the all-ones column held every pair's
+    # support at lam + 2, so each pair's zero rows were scanned
+    start = time.perf_counter()
+    A = genl_equality_construction(2, 1, 1, 151)
+    assert time.perf_counter() - start < 0.5
+    assert A.ncols == genl_bound(2, 1, 1, 151).exact
 
 
 def test_genl_equality_rejects_wrong_design():
@@ -182,7 +192,7 @@ def test_exceeder_small_case():
     # every split supports exactly 2 columns here
     for T in combinations(range(1, 5), 2):
         for L in combinations([r for r in range(1, 5) if r not in T], 1):
-            assert block_support_count(A, RowSplit(T, L)) == 2
+            assert block_support_count(A, T, L) == 2
 
 
 def test_exceeder_non_integral_gap_parameters():

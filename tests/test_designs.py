@@ -20,7 +20,7 @@ from xfc.designs import (
     verify_design,
     write_design,
 )
-from xfc.matrix import Block, RowSplit, block_support_count, contains_config
+from xfc.matrix import Block, block_support_count, contains_config
 
 FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
 
@@ -102,17 +102,17 @@ def test_verify_design_structural_errors():
 
 
 def test_divisibility_examples():
-    assert divisibility_check(2, 3, 1, 7).ok
-    bad = divisibility_check(2, 3, 1, 8)
-    assert not bad.ok and bad.per_index[1] is False
+    assert divisibility_check(2, 3, 1, 7) == {0: True, 1: True}
+    assert divisibility_check(2, 3, 1, 8) == {0: False, 1: False}
+    assert divisibility_check(2, 3, 1, 11) == {0: False, 1: True}
     for m in range(3, 40):
-        assert divisibility_check(2, 3, 6, m).ok
+        assert all(divisibility_check(2, 3, 6, m).values())
 
 
 def test_divisibility_matches_residue_classes():
     for m in range(3, 101):
         expected = m % 6 in (1, 3)
-        assert divisibility_check(2, 3, 1, m).ok == expected
+        assert all(divisibility_check(2, 3, 1, m).values()) == expected
 
 
 @pytest.mark.parametrize("m", [7, 9, 13, 15, 19, 21, 25])
@@ -162,7 +162,7 @@ def test_sts_incidence_cross_check():
     d = sts(9)
     A = d.incidence()
     for pair in combinations(range(1, 10), 2):
-        assert block_support_count(A, RowSplit(pair, ())) == 1
+        assert block_support_count(A, pair, ()) == 1
     assert contains_config(Block(1, 2, 0), A)
     assert not contains_config(Block(2, 2, 0), A)
 

@@ -21,7 +21,6 @@ from xfc.matrix import (
     Block,
     General,
     MatrixFormatError,
-    RowSplit,
     block_support_count,
     contains_config,
     layer_range,
@@ -184,17 +183,20 @@ def test_is_simple():
 def test_block_support_count_examples():
     K4 = full_cube(4)
     # exactly the columns 1100 and 1101
-    assert block_support_count(K4, RowSplit((1, 2), (3,))) == 2
+    assert block_support_count(K4, (1, 2), (3,)) == 2
     three = BinMatrix(2, (mask_of({1}),) * 3)
-    assert block_support_count(three, RowSplit((1,), (2,))) == 3
+    assert block_support_count(three, (1,), (2,)) == 3
     zeros = BinMatrix(5, (0,) * 4)
-    assert block_support_count(zeros, RowSplit((2,), ())) == 0
+    assert block_support_count(zeros, (2,), ()) == 0
 
 
 def test_row_split_validation():
+    A = BinMatrix(5, (0,) * 4)
     with pytest.raises(ValueError, match="must be disjoint"):
-        RowSplit((1, 2), (2,))
-    assert not RowSplit((1,), (9,)).valid_for(5)
+        block_support_count(A, (1, 2), (2,))
+    for ones, zeros in (((1,), (9,)), ((0,), ()), ((), (6,))):
+        with pytest.raises(ValueError, match=r"split rows outside 1\.\.5"):
+            block_support_count(A, ones, zeros)
 
 
 def test_matrix_and_block_validation():
@@ -217,7 +219,6 @@ def test_values_compare_and_hash_by_fields_and_refuse_assignment():
     assert Block(3, 2, 1) == Block(3, 2, 1) != Block(3, 1, 2)
     assert len({Block(3, 2, 1), Block(3, 2, 1), Block(2, 2, 1)}) == 2
     assert General(A) == General(same) and hash(General(A)) == hash(General(same))
-    assert RowSplit((2, 1), ()) == RowSplit((1, 2), ())
     result = SearchResult(A, 5, True)
     assert result == SearchResult(same, 5, True) != SearchResult(A, 5, False)
     assert hash(result) == hash(SearchResult(same, 5, True)) and result.optimum == 7
@@ -232,7 +233,7 @@ def test_values_compare_and_hash_by_fields_and_refuse_assignment():
     assert AuditCheck._fields == ("name", "witness", "detail")
     assert DesignCheck._fields == ("witness",)
     for value, field in ((A, "cols"), (A, "m"), (Block(3, 2, 1), "q"), (General(A), "pattern"),
-                         (RowSplit((1,), (2,)), "ones"), (result, "witness"), (result, "optimum"),
+                         (result, "witness"), (result, "optimum"),
                          (audit, "witness"), (audit, "passed"), (design, "witness"), (design, "ok")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
@@ -249,16 +250,14 @@ def test_max_block_multiplicity_exhaustive_oracle():
         for T in combinations(range(1, 5), 2)
         for L in combinations([r for r in range(1, 5) if r not in T], 1)
     )
-    count, split = max_block_multiplicity(K4, 2, 1)
+    count, ones, zeros = max_block_multiplicity(K4, 2, 1)
     assert count == best == 2
-    assert split == RowSplit((1, 2), (3,))  # lexicographically least maximizer
+    assert (ones, zeros) == ((1, 2), (3,))  # lexicographically least maximizer
 
 
 def test_max_block_multiplicity_design_and_empty():
-    count, _ = max_block_multiplicity(fano_matrix(), 2, 0)
-    assert count == 1  # every pair lies in exactly one block
-    count, _ = max_block_multiplicity(BinMatrix(4, ()), 2, 1)
-    assert count == 0
+    assert max_block_multiplicity(fano_matrix(), 2, 0)[0] == 1  # every pair lies in exactly one block
+    assert max_block_multiplicity(BinMatrix(4, ()), 2, 1) == (0, (1, 2), (3,))
     with pytest.raises(ValueError):
         max_block_multiplicity(BinMatrix(3, ()), 2, 2)
 
@@ -272,7 +271,7 @@ def test_block_support_counts_sum_to_closed_form():
         t = rng.randint(0, m)
         ell = rng.randint(0, m - t)
         total = sum(
-            block_support_count(A, RowSplit(T, L))
+            block_support_count(A, T, L)
             for T in combinations(range(1, m + 1), t)
             for L in combinations([r for r in range(1, m + 1) if r not in T], ell)
         )
@@ -282,33 +281,28 @@ def test_block_support_counts_sum_to_closed_form():
 
 
 def brute_splits(A, t, ell):
-    """(count, split) for every (t, ell) split, in lexicographic order."""
+    """(count, ones, zeros) for every (t, ell) split, in lexicographic order."""
     rows = range(1, A.m + 1)
-    out = []
-    for T in combinations(rows, t):
-        for Z in combinations([r for r in rows if r not in T], ell):
-            count = sum(
-                1 for c in A.cols
-                if all(c >> (r - 1) & 1 for r in T) and not any(c >> (r - 1) & 1 for r in Z)
-            )
-            out.append((count, RowSplit(T, Z)))
-    return out
+    return [(block_support_count(A, T, Z), T, Z)
+            for T in combinations(rows, t) for Z in combinations([r for r in rows if r not in T], ell)]
 
 
 def test_split_search_matches_brute_force():
-    # columns drawn partly from a small pool, so repeats and tied splits are common
+    # columns drawn partly from a small pool that holds the all-zeros and
+    # all-ones columns, so repeats, tied splits and columns whose sum lies
+    # outside t..m-ell, which no split counts, are common
     rng = random.Random(2024)
-    ties = 0
+    ties = unfit = 0
     for _ in range(200):
         m = rng.randint(0, 7)
-        pool = [rng.randrange(1 << m) for _ in range(3)]
+        pool = [0, (1 << m) - 1, *(rng.randrange(1 << m) for _ in range(3))]
         n = rng.randint(0, 9)
         A = BinMatrix(m, tuple(rng.choice(pool) if rng.random() < 0.6 else rng.randrange(1 << m)
                                for _ in range(n)))
         for t in range(m + 2):
             for ell in range(m + 2 - t):
                 splits = brute_splits(A, t, ell)
-                best = max((count for count, _ in splits), default=None)
+                best = max((count for count, _, _ in splits), default=None)
                 for q in range(n + 2):
                     expected = q == 0 or best is not None and best >= q
                     assert contains_config(Block(q, t, ell), A) == expected, (q, t, ell, A)
@@ -316,15 +310,17 @@ def test_split_search_matches_brute_force():
                     with pytest.raises(ValueError):
                         max_block_multiplicity(A, t, ell)
                     continue
-                lex_least = next(split for count, split in splits if count == best)
-                assert max_block_multiplicity(A, t, ell) == (best, lex_least), (t, ell, A)
-                ties += sum(count == best for count, _ in splits) > 1
+                lex_least = next(split for split in splits if split[0] == best)
+                assert max_block_multiplicity(A, t, ell) == lex_least, (t, ell, A)
+                ties += sum(count == best for count, _, _ in splits) > 1
+                unfit += any(not t <= s <= m - ell for s in A.column_sums())
     assert ties > 100  # the lexicographic tie-break is really exercised
+    assert unfit > 500  # and so are columns that fit no split
 
 
 def test_split_search_pins():
     A19 = split_1100_construction(19, 1, 1)
-    assert max_block_multiplicity(A19, 2, 2) == (4, RowSplit((1, 2), (4, 5)))
+    assert max_block_multiplicity(A19, 2, 2) == (4, (1, 2), (4, 5))
     A25 = split_1100_construction(25, 1, 1)
     assert not contains_config(Block(5, 2, 2), A25)
     assert contains_config(Block(4, 2, 2), A25)
@@ -333,30 +329,33 @@ def test_split_search_pins():
 def test_split_search_depth_is_not_bounded_by_the_call_stack():
     A = BinMatrix(1500, ((1 << 1500) - 1,))
     assert contains_config(Block(1, 1200, 0), A)
-    assert max_block_multiplicity(A, 1200, 0) == (1, RowSplit(range(1, 1201), ()))
+    assert max_block_multiplicity(A, 1200, 0) == (1, tuple(range(1, 1201)), ())
 
 
 def test_split_search_cuts_ones_sets_without_zeros_rows():
-    # no row of an all-ones column has a zero, so no ones-set completes; the
-    # search must see that before walking C(1500, 1200) of them
-    A = BinMatrix(1500, ((1 << 1500) - 1,))
-    start = time.perf_counter()
-    assert max_block_multiplicity(A, 1200, 300) == (0, RowSplit(range(1, 1201), range(1201, 1501)))
-    assert not contains_config(Block(1, 1200, 300), A)
-    assert time.perf_counter() - start < 1.0
+    # no row of an all-ones or all-zeros column holds both a one and a zero,
+    # so no (1200, 300) split completes; neither column's sum lies in
+    # 1200..1200, so both are dropped before a walk of C(1500, 1200) ones-sets
+    for A in (BinMatrix(1500, ((1 << 1500) - 1,)), BinMatrix(1500, ((1 << 1500) - 1, 0))):
+        start = time.perf_counter()
+        assert max_block_multiplicity(A, 1200, 300) == (0, tuple(range(1, 1201)), tuple(range(1201, 1501)))
+        assert not contains_config(Block(1, 1200, 300), A)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_row_map_search_looks_ahead_at_every_depth():
-    # with the all-zeros column every group of equal pattern rows can start,
-    # but once a ones-row is chosen no row keeps a zero: a search that looked
-    # at the zeros group only after the ones group completed would walk
-    # C(1500, 1200) ones-sets
-    A = BinMatrix(1500, ((1 << 1500) - 1, 0))
+    # every column fits Block(2, 15, 2), and rows 41 and 42 keep two zeros at
+    # the root, so the zeros group can start; but only the first two columns
+    # share 15 ones, on rows 1..30, and they share no zero.  Once a ones-row
+    # in 5..30 is chosen no row keeps two zeros, so a search that looked at
+    # the zeros group only after the ones group completed would walk the
+    # ones-sets of rows 1..30 (more than C(30, 15))
+    runs = ((1, 40), (1, 30, 41, 50), (1, 4, 31, 40, 43, 50))
+    A = BinMatrix.from_columns(50, [[r for lo, hi in zip(run[::2], run[1::2]) for r in range(lo, hi + 1)]
+                                    for run in runs])
     start = time.perf_counter()
-    assert not contains_config(Block(1, 1200, 300), A)
-    assert time.perf_counter() - start < 1.0
-    start = time.perf_counter()
-    assert max_block_multiplicity(A, 1200, 300)[0] == 0
+    assert not contains_config(Block(2, 15, 2), A)
+    assert max_block_multiplicity(A, 15, 2) == (1, tuple(range(1, 16)), (31, 32))
     assert time.perf_counter() - start < 1.0
 
 
@@ -407,6 +406,7 @@ def test_vacuous_conventions():
 def test_pattern_larger_than_matrix():
     A = full_cube(2)
     assert not contains_config(Block(2, 2, 1), A)  # more rows than A
+    assert not contains_config(General(BinMatrix(3, (0, 7))), A)
     assert not contains_config(Block(5, 1, 0), A)  # more columns than A
 
 
@@ -423,7 +423,7 @@ def test_block_matches_general_and_brute_force():
                         general = contains_config(General(blk.pattern()), A)
                         assert fast == general, (m, q, t, ell, A.cols)
                         assert fast == brute_contains(blk.pattern(), A), (m, q, t, ell, A.cols)
-                        count, _ = max_block_multiplicity(A, t, ell)
+                        count = max_block_multiplicity(A, t, ell)[0]
                         assert fast == (count >= q)
 
 
@@ -478,20 +478,25 @@ def test_general_containment_nontrivial_pattern():
 
 
 def test_general_containment_matches_brute_force():
-    # patterns of at least two distinct columns, so more than one segment
+    # patterns of at least two distinct columns, so more than one segment,
+    # against matrices that often hold the all-zeros and all-ones columns
     rng = random.Random(41)
-    checked = equal_rows = 0
+    checked = equal_rows = mixed_sums = 0
     while checked < 600:
         pm, pn = rng.randint(1, 4), rng.randint(2, 4)
         P = BinMatrix(pm, tuple(rng.randrange(1 << pm) for _ in range(pn)))
         if len(set(P.cols)) < 2:
             continue
         A = random_matrix(rng, rng.randint(pm, 6), max_cols=8)
+        if rng.random() < 0.5:
+            A = A.concat(BinMatrix(A.m, (0, (1 << A.m) - 1)))
         assert contains_config(General(P), A) == brute_contains(P, A), (P.cols, A.m, A.cols)
         checked += 1
         rows = [tuple(c >> r & 1 for c in P.cols) for r in range(pm)]
         equal_rows += len(set(rows)) < pm and len(set(P.cols)) == 2
+        mixed_sums += len(set(P.column_sums())) > 1
     assert equal_rows >= 100  # groups of equal pattern rows are really exercised
+    assert mixed_sums >= 300  # and distinct columns that fit different column sums
 
 
 def test_general_containment_cuts_runs_of_equal_columns():
