@@ -62,6 +62,13 @@ def _nonnegative(**values: int) -> None:
             raise ValueError(f"{name}={value} must be nonnegative")
 
 
+def _print_limit():
+    """The most digits Python prints of an int (0 when any int prints, as
+    before 3.11), and count_layers, to size a binomial against them unbuilt."""
+    from .matrix import count_layers  # here, so that the bounds command starts without it
+    return getattr(sys, "get_int_max_str_digits", int)(), count_layers
+
+
 def _tplus1_notes(t: int, ell: int) -> tuple[str, ...]:
     return (ASYMPTOTIC_NOTE, f"stated for t > ell, got t={t}, ell={ell}") if t <= ell else (ASYMPTOTIC_NOTE,)
 
@@ -100,8 +107,7 @@ def pigeonhole_terms(t: int, ell: int, lam: int, m: int, profile) -> PigeonholeC
     _nonnegative(t=t, ell=ell, lam=lam, m=m, a_t=a_t, a_t1=a_t1, a_higher=a_higher)
     if m < t + ell:
         raise ValueError("need m >= t + ell")
-    from .matrix import count_layers  # here, so that the bounds command starts without it
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or no such limit): any int prints
+    digits, count_layers = _print_limit()
     most = 10 ** digits - 1
     if digits and count_layers(m, (t + ell,), most) * count_layers(t + ell, (ell,), most) * (lam + 1) > most:
         raise ValueError(f"at m={m}, t={t} the capacity C(m, t+l) C(t+l, l) (lambda+1) has more "
@@ -175,8 +181,7 @@ def exceeder_gap(t: int, ell: int, lam: int) -> BoundValue:
     difference it equals is.  Refused, before C(m, t) is built, when its
     numerator has more digits than Python prints."""
     m = exceeder_rows(t, ell, lam)
-    from .matrix import count_layers  # here, so that the bounds command starts without it
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or no such limit): any int prints
+    digits, count_layers = _print_limit()
     # a count past this limit puts the gap, and so its numerator, past 10^digits
     c = count_layers(m, (t,), (t + 1) * 10 ** digits // ell) if digits else comb(m, t)
     gap = Fraction(ell * c, t + 1)

@@ -219,16 +219,13 @@ def contains_config(config: Configuration, A: BinMatrix) -> bool:
     contained vacuously.  A block is searched as its one distinct column
     and never expanded.  Only the columns of A that fit a pattern column c,
     with sum in [ones(c), m - zeros(c)], are searched, as a column used for
-    c agrees with c on all its rows; so a pattern taller than A, which no
-    column fits, is never contained, nor is one wider than A."""
+    c agrees with c on all its rows; a pattern taller than A, which no
+    column fits, or wider than the columns that fit, is refused at once."""
     if isinstance(config, Block):
         k, want = config.t + config.ell, {(1 << config.t) - 1: config.q}
     else:
         k, want = config.pattern.m, Counter(config.pattern.cols)
-    total = sum(want.values())
-    if not total:
-        return True
-    return total <= A.ncols and next(_row_maps(A, k, want), None) is not None
+    return not any(want.values()) or next(_row_maps(A, k, want), None) is not None
 
 
 def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
@@ -259,6 +256,8 @@ def _row_maps(A: BinMatrix, k: int, want: dict[int, int]):
     fit = {s for ones in {c.bit_count() for c in want} for s in range(ones, ones + A.m - k + 1)}
     cols = [c for c in A.cols if c.bit_count() in fit]
     n = len(cols)
+    if n < sum(need):  # no leaf: it counts each kept column once at most
+        return
     prow, end, starts = _pattern_rows(k, tuple(want))
     distinct = set(prow)
     if len(distinct) * A.m * nseg * n > MAX_ROW_MASK_BITS:

@@ -219,6 +219,18 @@ def test_contains_general_pattern_depth_is_not_bounded_by_the_call_stack(capsys,
     assert (code, out, err) == (1, "", "")
 
 
+@pytest.mark.parametrize("config", ["1,100000000,0", "1,0,100000000", "100000000,1,0"])
+def test_a_block_taller_or_wider_than_the_matrix_is_refused_at_once(capsys, tmp_path, config):
+    # no column of the 7-row matrix fits a 10^8-row block, and fewer than
+    # 10^8 fit a block of 10^8 columns: neither builds the block's rows
+    mat = tmp_path / "a.mat"
+    mat.write_text(BinMatrix(7, tuple(range(1 << 7))).to_text())
+    start = time.perf_counter()
+    code, out, err = run(capsys, "contains", "--config", config, "--matrix", str(mat))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "contains: false\n", "")
+
+
 def test_contains_takes_exactly_one_pattern(capsys, tmp_path):
     mat = tmp_path / "a.mat"
     mat.write_text("1 1\n1\n")
