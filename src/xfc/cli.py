@@ -106,7 +106,7 @@ def cmd_construct(args) -> int:
     elif kind == "layers":
         A = layer_range(args.m, _parse_sums(args.sums, args.m))
     elif kind == "genl-equality":
-        d = _read_file(args.design, read_design) if args.design else None
+        d = _read_file(args.design, read_design) if args.design is not None else None
         A = genl_equality_construction(args.t, args.l, args.lam, args.m, d)
     elif kind == "exceeder":
         A = exceeder_construction(args.t, args.l, args.lam)
@@ -119,7 +119,7 @@ def cmd_construct(args) -> int:
     else:  # split-1100
         A = split_1100_construction(args.m, args.a, args.b)
         avoided = f"{args.a + args.b + 3},2,2"
-    if args.out:  # written first, so a failed write prints nothing
+    if args.out is not None:  # written first, so a failed write prints nothing
         _write_matrix(args.out, A)
     if args.meta:
         record = {
@@ -131,9 +131,9 @@ def cmd_construct(args) -> int:
             "verified": True,  # constructions are fail-closed; reaching here means checks passed
         }
         print(json.dumps(record))
-    elif args.out:
+    elif args.out is not None:
         print(f"wrote {A.m} x {A.ncols} matrix to {args.out}")
-    if not args.out:
+    if args.out is None:
         A.write_text(sys.stdout)
     return 0
 
@@ -249,7 +249,7 @@ def cmd_search(args) -> int:
     from .search import SearchProblem, exact_max
 
     config, _ = _config(args)
-    sums = _parse_sums(args.sums, args.m) if args.sums else None
+    sums = _parse_sums(args.sums, args.m) if args.sums is not None else None
     problem = SearchProblem(args.m, config, sums=sums, policy=args.policy,
                             node_budget=args.budget_nodes)
     result = exact_max(problem)
@@ -259,7 +259,7 @@ def cmd_search(args) -> int:
         "proof_of_optimality": result.proof_of_optimality,
         "witness_ncols": result.witness.ncols,
     }
-    if args.witness_out:
+    if args.witness_out is not None:
         _write_matrix(args.witness_out, result.witness)
     print(json.dumps(out))
     return 0

@@ -111,20 +111,26 @@ those of the unrestricted search.  tau_r fixes the multiset iff each pair
 {y, tau_r y} is chosen equally often, so the search counts the unequal
 pairs per row; choosing x or undoing it changes only the pairs through x.
 
-The exhaustive oracle below shares none of this machinery.  It is the
-subset search for general patterns: containment only grows when columns
-are added, so a depth-first search that extends only pattern-free sets,
-in candidate order, meets every pattern-free set that could still beat
-the best, and each extension is decided by the row-map search of
-``xfc.matrix``, which the witness replay runs too.  As in the clique
-search above, each set carries its free list: the later candidates that
-keep it pattern-free.  A child's list is its parent's after the child's
-column, less the members that now complete the pattern, so a candidate
-is never tested again against a set it was compatible with.  A set with
-its list bounds its descendants at len(set) + len(list) columns, and a
-set, or a child still being filtered, stops once that cannot beat the
-best.  Its ``nodes`` count the sets visited, not the 2^n subsets of the
-candidates.
+SearchProblem is the one gate for an instance: it refuses one without a
+finite optimum, the empty pattern or, for a block, a repeatable sum whose
+columns meet no split, so each engine keeps only the limits of its own
+method: the kernel its mask bits, candidates and stack, the subset search
+its 24 candidates and the simple policy.  That subset search is
+exhaustive_oracle, which exact_max runs for general patterns and which
+checks the kernel on blocks; it shares none of the kernel's machinery.
+Containment only grows when columns are added, so a depth-first search
+that extends only pattern-free sets, in candidate order, meets every
+pattern-free set that could still beat the best, and each extension is
+decided by the row-map search of ``xfc.matrix``, which the witness replay
+runs too.  As in the clique search above, each set carries its free list:
+the later candidates that keep it pattern-free.  A child's list is its
+parent's after the child's column, less the members that now complete the
+pattern, so a candidate is never tested again against a set it was
+compatible with.  A set with its list bounds its descendants at len(set) +
+len(list) columns, and a set, or a child still being filtered, stops once
+that cannot beat the best.  Its ``nodes`` count the sets visited, the root
+included, not the 2^n subsets of the candidates; the root's list is built
+once the root is counted, so a budget of 0 makes no containment call.
 """
 
 from __future__ import annotations
@@ -172,6 +178,16 @@ class SearchProblem:
             raise ValueError("the paper repeat policy needs a block configuration")
         if self.node_budget is not None and self.node_budget < 0:
             raise ValueError(f"node budget must be nonnegative, got {self.node_budget}")
+        # the gate: an instance without a finite optimum is refused here, so
+        # each engine checks only its own limits
+        cfg = self.config
+        if (cfg.q if isinstance(cfg, Block) else cfg.pattern.ncols) == 0:
+            raise ValueError("every matrix contains the empty pattern; no maximum exists")
+        if isinstance(cfg, Block):
+            unrep = self.unrepeatable_sums()
+            for s in self.allowed_sums():
+                if s not in unrep and not comb(s, cfg.t) * comb(self.m - s, cfg.ell):
+                    raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
 
     def allowed_sums(self) -> tuple[int, ...]:
         return tuple(sorted(self.sums)) if self.sums is not None else tuple(range(self.m + 1))
@@ -242,10 +258,6 @@ class _Kernel:
 
     def __init__(self, p: SearchProblem):
         cfg = p.config
-        if not isinstance(cfg, Block):
-            raise TypeError("the fast kernel needs a block configuration")
-        if cfg.q == 0:
-            raise ValueError("every matrix contains the empty pattern; no maximum exists")
         m, t, ell = p.m, cfg.t, cfg.ell
         self.zwidth = comb(m, ell)
         width = comb(m, t) * self.zwidth
@@ -257,9 +269,6 @@ class _Kernel:
         self.full = (1 << m) - 1
         unrep = p.unrepeatable_sums()
         weight = {s: comb(s, t) * comb(m - s, ell) for s in p.allowed_sums()}  # splits hit
-        for s, w in weight.items():
-            if not w and s not in unrep:
-                raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
         # masks and tsets hold the split masks and the (room drop, t-set
         # ranks) of the columns drawn so far, in cols order
         self.masks: list[int] = []
@@ -483,9 +492,10 @@ class _Kernel:
 
 def exact_max(p: SearchProblem) -> SearchResult:
     """Maximum column count over matrices satisfying the problem, with a
-    witness.  Optimality is proven unless the node budget runs out."""
+    witness.  Optimality is proven unless the node budget runs out.  A
+    general pattern goes to the subset search of exhaustive_oracle."""
     if isinstance(p.config, General):
-        result = _exact_max_general(p, p.node_budget)
+        result = exhaustive_oracle(p)
     else:
         kernel = _Kernel(p)
         incumbent = kernel.incumbent()
@@ -499,29 +509,12 @@ def exact_max(p: SearchProblem) -> SearchResult:
     return result
 
 
-def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResult:
-    """Subset search for general patterns, and for blocks too in the
-    exhaustive oracle.  At most 24 candidates.
-
-    Each visited set cur, pattern-free, carries its free list: the later
-    candidates c, in candidate order, with cur + (c,) pattern-free by
-    contains_config.  The root's list is the candidates pattern-free on
-    their own.  A child cur + (c,) is pattern-free by its parent's test,
-    and its list is the parent's list after c less the members that now
-    complete the pattern, one contains_config call each: a candidate that
-    completes the pattern with a set completes it with every superset, so
-    no dropped candidate could return deeper down.  A set and its
-    descendants have at most len(cur) + len(list) columns, so a node stops
-    once that many, counted from the next child on, cannot beat the best
-    set found, and a child's filtering stops, the child unvisited, once its
-    columns, the members kept and those not yet tested cannot.  ``nodes``
-    counts the sets visited, the root included.  The root's list is built
-    once the root is counted, so a budget of 0 makes no call past the
-    empty-pattern check."""
+def exhaustive_oracle(p: SearchProblem) -> SearchResult:
+    """The subset search of the module docstring: the optimum of a general
+    pattern, or of a block as an oracle for the kernel, over at most 24
+    candidates under the simple policy.  The witness is not replayed."""
     if p.policy != "simple":
         raise ValueError("general-pattern search supports only the simple policy")
-    if contains_config(p.config, BinMatrix(p.m, ())):
-        raise ValueError("every matrix contains the empty pattern; no maximum exists")
     cand = list(chain.from_iterable(layer for _, layer in _layers(p, 24, "general-pattern search")))
     best: tuple[int, ...] = ()
     nodes = 0
@@ -541,7 +534,7 @@ def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResul
     def dfs(cur: tuple[int, ...], free: list[int] | None) -> None:
         nonlocal best, nodes, exhausted
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if p.node_budget is not None and nodes > p.node_budget:
             exhausted = True
             return
         if free is None:  # the root, visited even with no free candidate
@@ -560,16 +553,3 @@ def _exact_max_general(p: SearchProblem, node_budget: int | None) -> SearchResul
 
     dfs((), None)  # the root's list is built once the root is counted
     return SearchResult(BinMatrix(p.m, best), nodes, not exhausted)
-
-
-def exhaustive_oracle(p: SearchProblem) -> SearchResult:
-    """Optimum by the general-pattern subset search, without a node budget;
-    validation-only.  Requires the simple policy and at most 24 candidates.
-    The search extends only pattern-free sets, which reaches every one that
-    could still beat the best since a superset of a containing set contains
-    the pattern too.  Each set carries the free list of later candidates
-    that keep it pattern-free, and a set whose size plus its list's length
-    cannot beat the best is not visited; ``nodes`` counts the sets visited.
-    Containment goes through the row-map search of contains_config, not
-    the split-count kernel."""
-    return _exact_max_general(p, None)

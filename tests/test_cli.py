@@ -784,7 +784,6 @@ PROTOCOL_RAISES = {
     ("xfc.analysis", "check"): "KeyError",  # AnalysisReport.check of an unknown name
     ("xfc.cli", "_help"): "SystemExit",  # the flag parser's -h
     ("xfc.cli", "_fail"): "SystemExit",  # the flag parser's usage error
-    ("xfc.search", "__init__"): "TypeError",  # _Kernel of a general pattern, which the CLI never builds
 }
 
 
@@ -982,6 +981,9 @@ def test_failed_self_check_is_internal_error(capsys, monkeypatch, check, kind):
         assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (3, b"", err)
 
 
+NO_FILE = "cannot {verb} : [Errno 2] No such file or directory: ''"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-design", "{tmp}/missing.des"],
      "cannot read {tmp}/missing.des: [Errno 2] No such file or directory: '{tmp}/missing.des'"),
@@ -990,6 +992,16 @@ def test_failed_self_check_is_internal_error(capsys, monkeypatch, check, kind):
     (["construct", "layers", "--m", "6", "--sums", "4..2"], "sums range '4..2' is reversed"),
     (["construct", "kms", "--m", "4", "--s", "2", "-o", "{tmp}/no/A.mat"],
      "cannot write {tmp}/no/A.mat: [Errno 2] No such file or directory: '{tmp}/no/A.mat'"),
+    # an empty value reaches its parser or open, not read as the flag left out
+    (["search", "--m", "5", "--config", "2,2,1", "--sums="], "--sums: non-integer field ''"),
+    (["search", "--m", "5", "--config", "2,2,1", "--witness-out="], NO_FILE.format(verb="write")),
+    (["construct", "kms", "--m", "3", "--s", "1", "-o", ""], NO_FILE.format(verb="write")),
+    (["construct", "kms", "--m", "3", "--s", "1", "--out="], NO_FILE.format(verb="write")),
+    (["construct", "genl-equality", *GENL, "--design="], NO_FILE.format(verb="read")),
+    # a gate rule comes before an engine limit: 2^30 candidates and
+    # C(30,3)^2 mask bits, but the free sum-0 column meets no split
+    (["search", "--m", "30", "--config", "2,3,3", "--policy", "free"],
+     "unbounded: repeatable sum-0 columns never meet the pattern"),
 ])
 def test_refused_input_is_usage_error(capsys, tmp_path, argv, message):
     (tmp_path / "bad.mat").write_text("2 2\n10\n0x\n")

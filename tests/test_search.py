@@ -3,8 +3,9 @@
 import hashlib
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from conftest import brute_contains
@@ -146,18 +147,18 @@ def test_oracle_matches_subset_brute_force():
 
 def test_oracle_visits_only_pattern_free_sets(monkeypatch):
     # the benchmark's two oracle instances: optimum, sets visited and
-    # containment calls, the empty-pattern check included
+    # containment calls
     made = []
     contains = xfc.search.contains_config
     monkeypatch.setattr(xfc.search, "contains_config", lambda c, A: made.append(A) or contains(c, A))
-    for m, sums, pinned in ((4, None, (6, 13, 233)), (5, frozenset({1, 2}), (5, 15, 214))):
+    for m, sums, pinned in ((4, None, (6, 13, 232)), (5, frozenset({1, 2}), (5, 15, 213))):
         made.clear()
         r = exhaustive_oracle(SearchProblem(m, Block(2, 1, 1), sums=sums))
         assert (r.optimum, r.nodes, len(made)) == pinned, (m, sums)
 
 
 def test_oracle_transposes_its_pattern_once(monkeypatch):
-    # the m = 4 oracle asks 233 containment questions of one pattern, all of
+    # the m = 4 oracle asks 232 containment questions of one pattern, all of
     # which reach the row-map search: the 194 whose matrix has enough columns
     # fitting the pattern transpose it, and the pattern's rows are built once
     # (388 transpositions when built per call)
@@ -173,8 +174,8 @@ def test_oracle_transposes_its_pattern_once(monkeypatch):
 
     monkeypatch.setattr(xfc.search, "contains_config", recorded)
     r = exhaustive_oracle(SearchProblem(4, Block(2, 1, 1)))
-    assert (r.optimum, r.nodes, len(verdicts)) == (6, 13, 233)
-    assert (len(searches), len(transposed)) == (233, 195)
+    assert (r.optimum, r.nodes, len(verdicts)) == (6, 13, 232)
+    assert (len(searches), len(transposed)) == (232, 195)
     pattern = Block(2, 1, 1).pattern()
     assert all(v == brute_contains(pattern, A) for A, v in verdicts)
 
@@ -231,6 +232,31 @@ def test_empty_pattern_has_no_maximum():
     # a general pattern without columns has no maximum either
     with pytest.raises(ValueError, match="empty pattern"):
         exact_max(SearchProblem(3, General(BinMatrix(2, ()))))
+
+
+def test_search_problem_refuses_every_instance_without_an_optimum():
+    # the one gate: SearchProblem raises "empty pattern" exactly when q = 0,
+    # else "unbounded" at the first allowed repeatable sum whose columns meet
+    # no split, decided here from the split's shape rather than its count
+    start = time.perf_counter()
+    for m, q, t, ell, policy in product(range(1, 6), range(4), range(3), range(3), POLICIES):
+        repeatable = {"simple": range(0), "free": range(m + 1), "paper": range(t + 1, m - ell + 1)}[policy]
+        for sums in (None, frozenset({0, m})):
+            allowed = sorted(sums) if sums is not None else range(m + 1)
+            bad = [s for s in allowed if s in repeatable and not t <= s <= m - ell]
+            problem = dict(m=m, config=Block(q, t, ell), sums=sums, policy=policy)
+            if q == 0:
+                with pytest.raises(ValueError, match="^every matrix contains the empty pattern"):
+                    SearchProblem(**problem)
+            elif bad:
+                with pytest.raises(ValueError, match=f"^unbounded: repeatable sum-{bad[0]} "):
+                    SearchProblem(**problem)
+            else:
+                SearchProblem(**problem)
+    with pytest.raises(ValueError, match="^every matrix contains the empty pattern"):
+        SearchProblem(3, General(BinMatrix(2, ())))
+    SearchProblem(3, General(BinMatrix(2, (1,))))
+    assert time.perf_counter() - start < 0.2
 
 
 def test_paper_policy_repeats_only_middle_sums():
@@ -346,15 +372,15 @@ def test_general_pattern_node_budget():
 
 def test_general_pattern_budget_zero_makes_no_root_list(monkeypatch):
     # the root is counted before its free list is built: the only
-    # containment calls are the empty-pattern check and the replay of the
-    # empty witness (the root's list took 16 more calls here)
+    # containment call is the replay of the empty witness (the root's list
+    # took 16 more calls here)
     made = []
     contains = xfc.search.contains_config
     monkeypatch.setattr(xfc.search, "contains_config", lambda c, A: made.append(A) or contains(c, A))
     pattern = General(BinMatrix.from_columns(2, [(1,), (2,)]))
     r = exact_max(SearchProblem(4, pattern, node_budget=0))
     assert (r.optimum, r.nodes, r.proof_of_optimality) == (0, 1, False)
-    assert [A.ncols for A in made] == [0, 0]
+    assert [A.ncols for A in made] == [0]
 
 
 def test_general_pattern_rejects_nonsimple_policy():
@@ -493,6 +519,35 @@ def test_search_wide_regime():
         assert (r.optimum, r.proof_of_optimality, r.nodes) == (want, True, 1)
         assert verify_witness(p, r.witness)
 
+
+# the README's proven optima, (q,t,l), policy, sums and m to optimum and
+# nodes, each as a test above pins it
+PROVEN_OPTIMA = {
+    ("3,2,1", "paper", "all", 5): (22, 1),  # test_incumbent_proves_paper_m5_and_m6_at_the_root
+    ("3,2,1", "paper", "all", 6): (29, 1),
+    ("3,2,1", "paper", "all", 7): (37, 33),  # test_paper_policy_repeats_only_middle_sums
+    ("3,2,1", "paper", "all", 8): (46, 1_175),  # test_paper_policy_m8_proof
+    ("3,2,1", "paper", "all", 9): (59, 78),  # test_paper_policy_m9_proof
+    ("3,3,1", "paper", "all", 7): (72, 9_365),  # test_paper_theorem_beyond_t2_lambda1
+    ("3,3,1", "paper", "all", 8): (108, 2_616),
+    ("4,2,1", "paper", "all", 6): (35, 45),
+    ("2,2,1", "free", "{3}", 13): (26, 50_800),  # test_capped_bound_keeps_every_witness
+    ("2,2,1", "free", "{3}", 15): (35, 1),
+    ("2,2,2", "simple", "all", 12): (92, 1),  # test_search_wide_regime
+    ("2,2,1", "simple", "all", 13): (93, 1),
+    ("2,3,1", "simple", "all", 13): (379, 1),
+    ("2,3,2", "simple", "all", 13): (392, 1),
+}
+
+
+def test_readme_table_of_proven_optima():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| (q, t, ℓ) | policy | sums | m | optimum | nodes |\n|---|---|---|---|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        config, policy, sums, m, optimum, nodes = (f.strip() for f in line.strip("|").split("|"))
+        rows[config, policy, sums, int(m)] = (int(optimum), int(nodes.replace(",", "")))
+    assert rows == PROVEN_OPTIMA
 
 @pytest.fixture
 def drawn(monkeypatch):
@@ -1097,12 +1152,11 @@ def check_optima(table):
     for line in table.strip().splitlines():
         m, q, t, ell, *optima = line.split()
         for policy, want in zip(POLICIES, optima):
-            p = SearchProblem(int(m), Block(int(q), int(t), int(ell)), policy=policy)
             if want == "-":
                 with pytest.raises(ValueError, match="unbounded"):
-                    exact_max(p)
+                    SearchProblem(int(m), Block(int(q), int(t), int(ell)), policy=policy)
                 continue
-            r = exact_max(p)
+            r = exact_max(SearchProblem(int(m), Block(int(q), int(t), int(ell)), policy=policy))
             assert (r.optimum, r.proof_of_optimality) == (int(want), True), (line, policy)
 
 
