@@ -183,25 +183,25 @@ class SearchProblem:
         cfg = self.config
         if (cfg.q if isinstance(cfg, Block) else cfg.pattern.ncols) == 0:
             raise ValueError("every matrix contains the empty pattern; no maximum exists")
-        if isinstance(cfg, Block):
-            unrep = self.unrepeatable_sums()
-            for s in self.allowed_sums():
-                if s not in unrep and not comb(s, cfg.t) * comb(self.m - s, cfg.ell):
+        # a sum-s column meets a split iff t <= s <= m - ell, as every sum
+        # paper repeats does; all sums fail first, if at all, at 0 or m - ell + 1
+        if self.policy == "free" and isinstance(cfg, Block):
+            m, t, ell = self.m, cfg.t, cfg.ell
+            for s in sorted(self.sums) if self.sums is not None else (0, m - ell + 1):
+                if 0 <= s <= m and not t <= s <= m - ell:
                     raise ValueError(f"unbounded: repeatable sum-{s} columns never meet the pattern")
 
-    def allowed_sums(self) -> tuple[int, ...]:
-        return tuple(sorted(self.sums)) if self.sums is not None else tuple(range(self.m + 1))
+    def allowed_sums(self) -> tuple[int, ...] | range:
+        return tuple(sorted(self.sums)) if self.sums is not None else range(self.m + 1)
 
     def unrepeatable_sums(self) -> frozenset[int]:
-        """Sums at which a column may appear at most once."""
-        if self.policy == "simple":
-            return frozenset(range(self.m + 1))
+        """Allowed sums at which a column may appear at most once."""
         if self.policy == "free":
             return frozenset()
+        if self.policy == "simple":
+            return frozenset(self.allowed_sums())
         t, ell = self.config.t, self.config.ell
-        low = set(range(t + 1))
-        high = set(range(self.m - ell + 1, self.m + 1))
-        return frozenset(low | high)
+        return frozenset(s for s in self.allowed_sums() if not t < s <= self.m - ell)
 
 
 class SearchResult(namedtuple("SearchResult", "witness nodes proof_of_optimality")):
@@ -267,8 +267,10 @@ class _Kernel:
         self.cap = cfg.q - 1
         self.nsplits = comb(m, t) * comb(max(m - t, 0), ell)
         self.full = (1 << m) - 1
+        # refused before a table per allowed sum is built
+        layers = _layers(p, MAX_CANDIDATES, "search")
         unrep = p.unrepeatable_sums()
-        weight = {s: comb(s, t) * comb(m - s, ell) for s in p.allowed_sums()}  # splits hit
+        weight = {s: comb(s, t) * comb(m - s, ell) for s, _ in layers}  # splits hit
         # masks and tsets hold the split masks and the (room drop, t-set
         # ranks) of the columns drawn so far, in cols order
         self.masks: list[int] = []
@@ -288,7 +290,7 @@ class _Kernel:
         self.free_cols, self.cols = [], []
         self.repeatable, self.wclass, self.units = [], [], []
         self.root_counts = [0] * len(self.class_weights)
-        for s, layer in _layers(p, MAX_CANDIDATES, "search"):
+        for s, layer in layers:
             if not weight[s]:
                 self.free_cols += layer
                 continue

@@ -159,6 +159,11 @@ OVERSIZED = {
     "genl-equality": ["construct", "genl-equality", "--t", "2", "--l", "1", "--lambda", "1",
                       "--m", "100003"],
     "audit": ["audit", "--m", "100003"],
+    # the search gate builds nothing of size m, so the kernel's own limits
+    # refuse these: the first two by mask width, the last by candidates
+    "search": ["search", "--m", "100000000", "--config", "2,2,1"],
+    "search-paper": ["search", "--m", "100000", "--config", "2,50000,1", "--policy", "paper"],
+    "search-no-split-rows": ["search", "--m", "100000000", "--config", "2,0,0"],
 }
 
 

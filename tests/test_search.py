@@ -26,6 +26,31 @@ from xfc.search import (
 )
 
 
+# the proven optima the tests below pin, and the README's table of them:
+# (q,t,l), policy, sums and m to optimum and nodes
+PROVEN_OPTIMA = {
+    ("3,2,1", "paper", "all", 5): (22, 1),
+    ("3,2,1", "paper", "all", 6): (29, 1),
+    ("3,2,1", "paper", "all", 7): (37, 33),
+    ("3,2,1", "paper", "all", 8): (46, 1_175),
+    ("3,2,1", "paper", "all", 9): (59, 78),
+    ("3,3,1", "paper", "all", 7): (72, 9_365),
+    ("3,3,1", "paper", "all", 8): (108, 2_616),
+    ("4,2,1", "paper", "all", 6): (35, 45),
+    ("2,2,1", "free", "{3}", 13): (26, 50_800),
+    ("2,2,1", "free", "{3}", 15): (35, 1),
+    ("2,2,2", "simple", "all", 12): (92, 1),
+    ("2,2,1", "simple", "all", 13): (93, 1),
+    ("2,3,1", "simple", "all", 13): (379, 1),
+    ("2,3,2", "simple", "all", 13): (392, 1),
+}
+
+
+def proven(m, block, policy, sums="all"):
+    """The (optimum, nodes) pinned for the instance in PROVEN_OPTIMA."""
+    return PROVEN_OPTIMA[f"{block.q},{block.t},{block.ell}", policy, sums, m]
+
+
 def test_two_rows_examples():
     r = exact_max(SearchProblem(2, Block(2, 1, 0)))
     assert r.optimum == 3 and r.proof_of_optimality
@@ -263,11 +288,10 @@ def test_paper_policy_repeats_only_middle_sums():
     p = SearchProblem(7, Block(3, 2, 1), policy="paper")
     assert p.unrepeatable_sums() == frozenset({0, 1, 2, 7})
     r = exact_max(p)
-    assert r.optimum == 37 and r.proof_of_optimality
+    # 39 nodes without the per-t-set cap, and 138 when only the rows that
+    # agree on every chosen column may swap (633 without the cap as well)
+    assert (r.optimum, r.nodes) == proven(7, p.config, "paper") and r.proof_of_optimality
     assert verify_witness(p, r.witness)
-    # 39 without the per-t-set cap, and 138 when only the rows that agree
-    # on every chosen column may swap (633 without the cap as well)
-    assert r.nodes == 33
 
 
 def test_paper_policy_m8_proof():
@@ -279,8 +303,8 @@ def test_paper_policy_m8_proof():
     # layer 7 in place of a triple packing
     p = SearchProblem(8, Block(3, 2, 1), policy="paper")
     r = exact_max(p)
-    assert (r.optimum, r.proof_of_optimality, r.nodes) == (46, True, 1_175)
-    assert int(genl_bound(2, 1, 1, 8).exact) == 47
+    assert (r.optimum, r.nodes) == proven(8, p.config, "paper") and r.proof_of_optimality
+    assert int(genl_bound(2, 1, 1, 8).exact) == r.optimum + 1
     assert verify_witness(p, r.witness)
     assert sorted(Counter(r.witness.column_sums()).items()) == [(0, 1), (1, 8), (2, 28), (7, 8), (8, 1)]
 
@@ -292,8 +316,8 @@ def test_paper_policy_m9_proof():
     # may swap
     p = SearchProblem(9, Block(3, 2, 1), policy="paper")
     r = exact_max(p)
-    assert (r.optimum, r.proof_of_optimality, r.nodes) == (59, True, 78)
-    assert genl_bound(2, 1, 1, 9).exact == 59
+    assert (r.optimum, r.nodes) == proven(9, p.config, "paper") and r.proof_of_optimality
+    assert genl_bound(2, 1, 1, 9).exact == r.optimum
     assert verify_witness(p, r.witness)
     sums = r.witness.column_sums()
     assert sorted(Counter(sums).items()) == [(0, 1), (1, 9), (2, 36), (3, 12), (9, 1)]
@@ -307,16 +331,17 @@ def test_paper_theorem_beyond_t2_lambda1():
     # columns forming a Steiner quadruple system SQS(8).  196,984, 93,615
     # and 1,183 nodes when only the rows that agree on every chosen column
     # may swap
-    for m, block, want, nodes, hist in (
-            (7, Block(3, 3, 1), 72, 9_365, [(0, 1), (1, 7), (2, 21), (3, 35), (4, 7), (7, 1)]),
-            (6, Block(4, 2, 1), 35, 45, [(0, 1), (1, 6), (2, 15), (5, 12), (6, 1)]),
-            (8, Block(3, 3, 1), 108, 2_616, [(0, 1), (1, 8), (2, 28), (3, 56), (4, 14), (8, 1)])):
+    for m, block, hist in (
+            (7, Block(3, 3, 1), [(0, 1), (1, 7), (2, 21), (3, 35), (4, 7), (7, 1)]),
+            (6, Block(4, 2, 1), [(0, 1), (1, 6), (2, 15), (5, 12), (6, 1)]),
+            (8, Block(3, 3, 1), [(0, 1), (1, 8), (2, 28), (3, 56), (4, 14), (8, 1)])):
         p = SearchProblem(m, block, policy="paper")
         r = exact_max(p)
-        assert (r.optimum, r.proof_of_optimality, r.nodes) == (want, True, nodes), (m, block)
+        assert (r.optimum, r.nodes) == proven(m, block, "paper"), (m, block)
+        assert r.proof_of_optimality, (m, block)
         assert verify_witness(p, r.witness), (m, block)
         assert sorted(Counter(r.witness.column_sums()).items()) == hist, (m, block)
-    assert genl_bound(3, 1, 1, 8).exact == 108
+    assert genl_bound(3, 1, 1, 8).exact == r.optimum
     sums = r.witness.column_sums()
     blocks = [rows for rows, s in zip(r.witness.column_sets(), sums) if s == 4]
     assert verify_design(blocks, 8, 4, 3, 1).ok
@@ -460,7 +485,8 @@ def test_incumbent_proves_paper_m5_and_m6_at_the_root():
                     (6, [(0, 1), (1, 6), (2, 15), (5, 6), (6, 1)])):
         p = SearchProblem(m, Block(3, 2, 1), policy="paper")
         r = exact_max(p)
-        assert (r.optimum, r.nodes, r.proof_of_optimality) == (sum(n for _, n in hist), 1, True), m
+        assert (r.optimum, r.nodes) == proven(m, p.config, "paper") == (sum(n for _, n in hist), 1), m
+        assert r.proof_of_optimality, m
         assert sorted(Counter(r.witness.column_sums()).items()) == hist, m
         assert verify_witness(p, r.witness), m
 
@@ -513,31 +539,12 @@ SEARCH_WIDE = ((12, Block(2, 2, 2)), (13, Block(2, 2, 1)), (13, Block(2, 3, 1)),
 def test_search_wide_regime():
     # simple policy over all 2^m candidates, as in the search-wide benchmark
     # the greedy incumbent meets the root bound, so no child is pushed
-    for (m, block), want in zip(SEARCH_WIDE, (92, 93, 379, 392)):
+    for m, block in SEARCH_WIDE:
         p = SearchProblem(m, block)
         r = exact_max(p)
-        assert (r.optimum, r.proof_of_optimality, r.nodes) == (want, True, 1)
+        assert (r.optimum, r.nodes) == proven(m, block, "simple") and r.nodes == 1
+        assert r.proof_of_optimality
         assert verify_witness(p, r.witness)
-
-
-# the README's proven optima, (q,t,l), policy, sums and m to optimum and
-# nodes, each as a test above pins it
-PROVEN_OPTIMA = {
-    ("3,2,1", "paper", "all", 5): (22, 1),  # test_incumbent_proves_paper_m5_and_m6_at_the_root
-    ("3,2,1", "paper", "all", 6): (29, 1),
-    ("3,2,1", "paper", "all", 7): (37, 33),  # test_paper_policy_repeats_only_middle_sums
-    ("3,2,1", "paper", "all", 8): (46, 1_175),  # test_paper_policy_m8_proof
-    ("3,2,1", "paper", "all", 9): (59, 78),  # test_paper_policy_m9_proof
-    ("3,3,1", "paper", "all", 7): (72, 9_365),  # test_paper_theorem_beyond_t2_lambda1
-    ("3,3,1", "paper", "all", 8): (108, 2_616),
-    ("4,2,1", "paper", "all", 6): (35, 45),
-    ("2,2,1", "free", "{3}", 13): (26, 50_800),  # test_capped_bound_keeps_every_witness
-    ("2,2,1", "free", "{3}", 15): (35, 1),
-    ("2,2,2", "simple", "all", 12): (92, 1),  # test_search_wide_regime
-    ("2,2,1", "simple", "all", 13): (93, 1),
-    ("2,3,1", "simple", "all", 13): (379, 1),
-    ("2,3,2", "simple", "all", 13): (392, 1),
-}
 
 
 def test_readme_table_of_proven_optima():
@@ -548,6 +555,7 @@ def test_readme_table_of_proven_optima():
         config, policy, sums, m, optimum, nodes = (f.strip() for f in line.strip("|").split("|"))
         rows[config, policy, sums, int(m)] = (int(optimum), int(nodes.replace(",", "")))
     assert rows == PROVEN_OPTIMA
+
 
 @pytest.fixture
 def drawn(monkeypatch):
@@ -585,9 +593,10 @@ def test_each_mask_is_built_once_per_run(drawn):
     # per-layer first-fit passes run, then a DFS unless a pass meets the
     # bound (m = 5 and 6); a greedy that falls short has drawn every mask,
     # and neither the passes nor the DFS draw one
-    for p, want, nodes in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 25, 1),
-                           (SearchProblem(6, Block(3, 2, 1), policy="paper"), 56, 1),
-                           (SearchProblem(7, Block(3, 2, 1), policy="paper"), 119, 33),
+    paper = {m: proven(m, Block(3, 2, 1), "paper")[1] for m in (5, 6, 7)}
+    for p, want, nodes in ((SearchProblem(5, Block(3, 2, 1), policy="paper"), 25, paper[5]),
+                           (SearchProblem(6, Block(3, 2, 1), policy="paper"), 56, paper[6]),
+                           (SearchProblem(7, Block(3, 2, 1), policy="paper"), 119, paper[7]),
                            (SearchProblem(7, Block(2, 2, 1), sums=frozenset(range(3, 7)), policy="free"), 98, 4)):
         kernel = _Kernel(p)
         assert len(kernel.greedy()) < kernel.root_bound, p
@@ -708,11 +717,13 @@ def test_capped_bound_keeps_every_witness():
             assert r.proof_of_optimality and r.nodes <= n, (t, ell, policy)
             digest.update(repr(r.witness.cols).encode() + b"\n")
     assert digest.hexdigest()[:16] == UNCAPPED_WITNESS_DIGEST_M6
-    # triple packings: STS(13) in 50,800 nodes (99,777 uncapped), and STS(15)
-    # at the root, which the uncapped search did not prove in 100,000 nodes
-    for m, want, nodes in ((13, 26, 50_800), (15, 35, 1)):
+    # triple packings: STS(13) in about half the uncapped search's 99,777
+    # nodes, and STS(15) at the root, which the uncapped search did not
+    # prove in 100,000 nodes
+    for m in (13, 15):
         r = exact_max(SearchProblem(m, Block(2, 2, 1), sums=frozenset({3}), policy="free"))
-        assert (r.optimum, r.nodes, r.proof_of_optimality) == (want, nodes, True), m
+        assert (r.optimum, r.nodes) == proven(m, Block(2, 2, 1), "free", "{3}"), m
+        assert r.proof_of_optimality, m
 
 
 def test_tset_lists_are_built_on_first_use(drawn):
@@ -727,7 +738,7 @@ def test_tset_lists_are_built_on_first_use(drawn):
     p = SearchProblem(7, Block(3, 2, 1), policy="paper")
     drawn.clear()
     r = exact_max(p)
-    assert r.nodes == 33 and drawn == _Kernel(p).cols
+    assert r.nodes == proven(7, p.config, "paper")[1] and drawn == _Kernel(p).cols
 
 
 def test_many_rows_one_sum_is_fast():
